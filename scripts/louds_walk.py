@@ -10,11 +10,8 @@ import argparse
 import sys
 
 from succinct import (
+    Louds,
     format_bits,
-    louds_child,
-    louds_children,
-    louds_encode,
-    louds_parent,
     louds_position,
     number_of_nodes,
     parse_tree,
@@ -35,20 +32,20 @@ def main() -> int:
     if args.super_root:
         tree = with_super_root(tree)
 
-    bits = louds_encode(tree)
-    print(f"encoding ({len(bits)} bits): {format_bits(bits)}")
+    nav = Louds.encode(tree)
+    print(f"encoding ({len(nav)} bits): {format_bits(nav.bits)}")
     print(f"{'path':>16}  {'pos':>4}  {'kids':>4}  {'parent':>6}  label")
 
     positions = {p: louds_position([tree], p) for p in all_paths(tree)}
     mismatches = 0
     for path, pos in sorted(positions.items(), key=lambda kv: kv[1]):
         node = subtree(tree, path)
-        kids = louds_children(bits, pos)
-        parent = louds_parent(bits, pos) if path else None
+        kids = nav.children(pos)
+        parent = nav.parent(pos) if path else None
         if kids != len(node.children):
             mismatches += 1
         for i in range(kids):
-            if louds_child(bits, pos, i) != positions[path + (i,)]:
+            if nav.child(pos, i) != positions[path + (i,)]:
                 mismatches += 1
         shown = ",".join(map(str, path)) or "(root)"
         parent_str = "-" if parent is None else str(parent)

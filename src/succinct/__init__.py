@@ -3,9 +3,10 @@
 Three layers, each validated against a naive reference oracle:
 
 - ``bitvec``: static rank/select/succ/pred over flat bit sequences,
-  plus a one-level block index accelerating rank.
+  plus ``BitVector``, packed words with a rank/select directory:
+  O(1) rank, O(log n) select.
 - ``louds``: pointerless level-order tree encoding with rank/select
-  navigation (child count, i-th child, parent).
+  navigation (child count, i-th child, parent) on a ``BitVector``.
 - ``dynamic``: dynamic bit vectors as red-black trees over small flat
   leaf arrays, with insert/delete/set/clear and tree-steered queries.
 """
@@ -13,8 +14,7 @@ Three layers, each validated against a naive reference oracle:
 from .bitvec import (
     Bit,
     BitSeq,
-    RankIndex,
-    build_rank_index,
+    BitVector,
     format_bits,
     parse_bits,
     pred,
@@ -58,7 +58,6 @@ from .louds import (
     TreeParseError,
     children,
     children_of_forest,
-    children_of_node,
     format_tree,
     height,
     level_traversal,

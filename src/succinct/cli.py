@@ -140,7 +140,7 @@ def _cmd_louds_query(args) -> int:
         bits = _load_bits(args)
     except (OSError, ValueError) as e:
         return _fail(str(e), 2)
-    nav = Louds(tuple(bits))
+    nav = Louds(bits)
     try:
         if args.op == "children":
             result = nav.children(args.pos)

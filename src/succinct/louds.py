@@ -10,8 +10,14 @@ one-child node.
 Navigation (child count, i-th child, parent) is pure rank/select
 arithmetic on the bit sequence; ``bitvec`` documents the index
 conventions the formulas rely on.  The module-level ``louds_children``,
-``louds_child`` and ``louds_parent`` are the raw total formulas;
-``Louds`` wraps them with position validation.
+``louds_child`` and ``louds_parent`` are the raw total formulas over
+the free, O(n) ``rank``/``select``.  ``Louds`` keeps the bits in a
+``BitVector`` and applies the same formulas to its directory, so each
+step costs O(log n) whatever the tree, and validates positions.
+
+``louds_encode`` is one breadth-first pass over a queue; the recursive
+``level_traversal``/``mzip`` and the other traversal formulations stay
+as specifications that the tests check against it.
 
 Positions in the inductive tree are paths: lists of 0-based child
 indices from the root.  ``lo_traversal_lt`` produces the prefix of the
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, Sequence
 
-from .bitvec import BitSeq, pred, rank, select, succ
+from .bitvec import BitSeq, BitVector, pred, rank, select, succ
 
 Path = Sequence[int]
 
@@ -37,7 +43,6 @@ __all__ = [
     "TreeParseError",
     "children",
     "children_of_forest",
-    "children_of_node",
     "format_tree",
     "height",
     "level_traversal",
@@ -74,10 +79,6 @@ class Tree:
 
 
 Forest = Sequence[Tree]
-
-
-def children_of_node(t: Tree) -> list[Tree]:
-    return list(t.children)
 
 
 def children_of_forest(f: Forest) -> list[Tree]:
@@ -156,8 +157,16 @@ def children_description(t: Tree) -> list[int]:
 
 
 def louds_encode(t: Tree) -> list[int]:
-    """Level-order concatenation of node descriptions; 2n - 1 bits."""
-    return list(chain.from_iterable(lo_traversal_st(children_description, t)))
+    """Level-order concatenation of node descriptions; 2n - 1 bits.
+
+    Equal to flattening ``lo_traversal_st(children_description, t)``,
+    in one breadth-first pass without recursion."""
+    bits: list[int] = []
+    queue = [t]
+    for node in queue:  # the loop walks the queue while it grows
+        queue.extend(node.children)
+        bits.extend(children_description(node))
+    return bits
 
 
 def with_super_root(t: Tree, label: Any = None) -> Tree:
@@ -261,51 +270,66 @@ def louds_parent(bits: BitSeq, v: int) -> int:
 class Louds:
     """A LOUDS bit sequence with validity-checked navigation.
 
-    The raw formulas above are total and answer garbage for bit indices
-    that do not start a node description; this wrapper rejects those
-    loudly instead.
+    Built from a ``BitVector`` or any bit sequence; the bits are kept
+    only in the vector.  Navigation uses the raw formulas above with
+    ``BitVector.rank``/``select`` in place of the free functions.  The
+    raw formulas are total and answer garbage for bit indices that do
+    not start a node description; this wrapper rejects those loudly
+    instead.
     """
 
-    bits: tuple[int, ...]
+    vector: BitVector
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(self.bits))
+        if not isinstance(self.vector, BitVector):
+            object.__setattr__(self, "vector", BitVector(self.vector))
 
     @classmethod
     def encode(cls, t: Tree, super_root: bool = False) -> "Louds":
         if super_root:
             t = with_super_root(t)
-        return cls(tuple(louds_encode(t)))
+        return cls(BitVector(louds_encode(t)))
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple(self.vector)
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return len(self.vector)
 
     def is_position(self, v: int) -> bool:
         """True when v is the first bit of some node's description."""
-        if not 0 <= v < len(self.bits):
+        if not 0 <= v < len(self.vector):
             return False
-        return v == 0 or self.bits[v - 1] == 0
+        return v == 0 or self.vector[v - 1] == 0
 
     def _require_position(self, v: int) -> None:
         if not self.is_position(v):
             raise ValueError(f"{v} is not a node position in this encoding")
 
+    def _children(self, v: int) -> int:
+        vec = self.vector
+        return vec.select(0, vec.rank(0, v) + 1) - (v + 1)
+
     def children(self, v: int) -> int:
         self._require_position(v)
-        return louds_children(self.bits, v)
+        return self._children(v)
 
     def child(self, v: int, i: int) -> int:
         self._require_position(v)
-        k = louds_children(self.bits, v)
+        k = self._children(v)
         if not 0 <= i < k:
             raise ValueError(f"child index {i} out of range for node with {k} children")
-        return louds_child(self.bits, v, i)
+        vec = self.vector
+        return vec.select(0, vec.rank(1, v + i) + 1)
 
     def parent(self, v: int) -> int:
         self._require_position(v)
         if v == 0:
             raise ValueError("the root has no parent")
-        return louds_parent(self.bits, v)
+        vec = self.vector
+        j = vec.select(1, vec.rank(0, v))
+        return vec.select(0, vec.rank(0, j))
 
 
 class TreeParseError(ValueError):

@@ -26,6 +26,7 @@ from .dynamic import (
     wf_check,
 )
 from .louds import (
+    Louds,
     Tree,
     height,
     lo_traversal,
@@ -125,25 +126,30 @@ def check_encoding(t: Tree) -> None:
 
 
 def check_navigation(t: Tree) -> None:
-    """children/child/parent on the encoding must match the inductive
-    oracle at every node of the tree."""
+    """children/child/parent must match the inductive oracle at every
+    node of the tree, both by the raw formulas on the encoding and by
+    ``Louds`` on its packed directory."""
     bits = louds_encode(t)
+    nav = Louds.encode(t)
+    if list(nav.bits) != bits:
+        raise VerifyError("Louds.encode disagrees with louds_encode")
     positions = {p: louds_position([t], p) for p in all_paths(t)}
     for path, v in positions.items():
-        nav = tree_navigate(t, path)
-        got = louds_children(bits, v)
-        if got != nav["children"]:
-            raise VerifyError(f"children at {path}: got {got}, oracle says {nav['children']}")
-        for i in range(nav["children"]):
+        k = tree_navigate(t, path)["children"]
+        _expect_nav(f"children at {path}", k, louds_children(bits, v), nav.children(v))
+        for i in range(k):
             want = positions[path + (i,)]
-            got = louds_child(bits, v, i)
-            if got != want:
-                raise VerifyError(f"child {i} at {path}: got {got}, oracle says {want}")
+            _expect_nav(f"child {i} at {path}", want, louds_child(bits, v, i), nav.child(v, i))
         if path:
             want = positions[path[:-1]]
-            got = louds_parent(bits, v)
-            if got != want:
-                raise VerifyError(f"parent at {path}: got {got}, oracle says {want}")
+            _expect_nav(f"parent at {path}", want, louds_parent(bits, v), nav.parent(v))
+
+
+def _expect_nav(what: str, want: int, raw: int, packed: int) -> None:
+    if raw != want:
+        raise VerifyError(f"{what}: got {raw}, oracle says {want}")
+    if packed != want:
+        raise VerifyError(f"{what}: Louds says {packed}, oracle says {want}")
 
 
 def random_script(rng: Random, n_ops: int = 200) -> list[tuple]:
@@ -176,16 +182,18 @@ def random_script(rng: Random, n_ops: int = 200) -> list[tuple]:
 class ScriptRunner:
     """Applies script ops to a tree; with verify on, mirrors every op on
     a flat list and checks results plus structural invariants after each
-    step."""
+    step.  With verify off there is no mirror and no oracle call."""
 
     def __init__(self, bounds: SizeBounds, verify: bool = False, tree: DTree | None = None):
         self.bounds = bounds
         self.verify = verify
         self.tree: DTree = tree if tree is not None else Leaf([])
-        self.flat: list[int] = dflatten(self.tree)
+        self.flat: list[int] | None = None
         self.steps = 0
-        if verify and tree is not None:
-            self._check_invariants("initial state")
+        if verify:
+            self.flat = dflatten(self.tree)
+            if tree is not None:
+                self._check_invariants("initial state")
 
     def run(self, ops) -> list[int]:
         return [r for r in map(self.step, ops) if r is not None]
@@ -196,38 +204,47 @@ class ScriptRunner:
         if kind == "insert":
             _, i, b = op
             self.tree = dinsert(self.tree, b, i, self.bounds)
-            self.flat = insert1(self.flat, b, i)
         elif kind == "delete":
             self.tree = ddelete(self.tree, op[1], self.bounds)
-            self.flat = delete_at(self.flat, op[1])
         elif kind == "set":
             self.tree, _ = dset(self.tree, op[1])
-            self.flat = update_at(self.flat, op[1], 1)
         elif kind == "clear":
             self.tree, _ = dclear(self.tree, op[1])
-            self.flat = update_at(self.flat, op[1], 0)
         elif kind == "rank":
             result = drank(self.tree, op[1])
-            self._expect(op, result, oracle_rank(1, op[1], self.flat))
         elif kind == "select0":
             result = dselect0(self.tree, op[1])
-            self._expect(op, result, oracle_select(0, op[1], self.flat))
         elif kind == "select1":
             result = dselect1(self.tree, op[1])
-            self._expect(op, result, oracle_select(1, op[1], self.flat))
         elif kind == "access":
             result = daccess(self.tree, op[1])
-            self._expect(op, result, self.flat[op[1]])
         else:
             raise ValueError(f"unknown op {kind!r}")
+        if self.verify:
+            self._mirror(op, result)
         self.steps += 1
         if self.verify:
             self._check_invariants(op)
         return result
 
-    def _expect(self, op: tuple, got: int, want: int) -> None:
-        if self.verify and got != want:
-            raise VerifyError(f"step {self.steps} {op}: got {got}, oracle says {want}")
+    def _mirror(self, op: tuple, got: int | None) -> None:
+        """Apply op to the flat list, or check a query's answer on it."""
+        kind, i, flat = op[0], op[1], self.flat
+        if kind == "insert":
+            self.flat = insert1(flat, op[2], i)
+        elif kind == "delete":
+            self.flat = delete_at(flat, i)
+        elif kind in ("set", "clear"):
+            self.flat = update_at(flat, i, 1 if kind == "set" else 0)
+        else:
+            if kind == "rank":
+                want = oracle_rank(1, i, flat)
+            elif kind == "access":
+                want = flat[i]
+            else:
+                want = oracle_select(1 if kind == "select1" else 0, i, flat)
+            if got != want:
+                raise VerifyError(f"step {self.steps} {op}: got {got}, oracle says {want}")
 
     def _check_invariants(self, op) -> None:
         if dflatten(self.tree) != self.flat:

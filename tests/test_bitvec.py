@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from samples import BITS58, LOUDS21
 from succinct import (
-    build_rank_index,
+    BitVector,
     format_bits,
     parse_bits,
     pred,
@@ -15,6 +15,11 @@ from succinct.oracle import oracle_count, oracle_rank, oracle_select
 
 bit = st.sampled_from([0, 1])
 bit_lists = st.lists(bit, max_size=120)
+# lengths at and around the 64-bit word edges of BitVector
+edge_lengths = st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129, 191, 192, 193])
+edge_lists = edge_lengths.flatmap(
+    lambda n: st.integers(0, (1 << n) - 1).map(lambda x: [(x >> j) & 1 for j in range(n)])
+)
 
 
 class TestRank:
@@ -132,24 +137,25 @@ class TestSuccPred:
 
 
 class TestRankIndex:
+    """Rank through BitVector's directory agrees with the free rank."""
+
     def test_sample_query(self):
-        index = build_rank_index(BITS58, 8)
-        assert index.rank(1, 36) == 17
+        assert BitVector(BITS58).rank(1, 36) == 17
 
     def test_empty_source(self):
-        index = build_rank_index([], 4)
+        index = BitVector([])
         assert index.rank(1, 0) == 0
         assert index.rank(0, 3) == 0
 
     def test_exhaustive_agreement_on_sample(self):
-        index = build_rank_index(BITS58, 8)
+        index = BitVector(BITS58)
         for b in (0, 1):
             for i in range(60):
                 assert index.rank(b, i) == rank(b, i, BITS58)
 
-    @given(bit_lists, st.integers(1, 17))
-    def test_matches_naive_rank_everywhere(self, s, block_size):
-        index = build_rank_index(s, block_size)
+    @given(bit_lists)
+    def test_matches_naive_rank_everywhere(self, s):
+        index = BitVector(s)
         for b in (0, 1):
             for i in range(len(s) + 2):
                 assert index.rank(b, i) == rank(b, i, s)
@@ -159,7 +165,7 @@ class TestRankIndex:
 
         rng = random.Random(1024)
         s = [rng.randint(0, 1) for _ in range(1024)]
-        index = build_rank_index(s, 32)
+        index = BitVector(s)
         for b in (0, 1):
             for i in range(len(s) + 1):
                 assert index.rank(b, i) == rank(b, i, s)
@@ -169,21 +175,91 @@ class TestRankIndex:
 
         rng = random.Random(2024)
         s = [rng.randint(0, 1) for _ in range(5000)]
-        index = build_rank_index(s, 64)
+        index = BitVector(s)
         for _ in range(500):
             i = rng.randint(0, 5000)
             b = rng.randint(0, 1)
             assert index.rank(b, i) == rank(b, i, s)
 
-    def test_rejects_zero_block_size(self):
+    def test_rejects_negative_prefix(self):
         with pytest.raises(ValueError):
-            build_rank_index([1, 0, 1], 0)
+            BitVector([1, 0, 1]).rank(1, -1)
 
-    @given(bit_lists, st.integers(1, 17))
-    def test_block_counts_are_boundary_ranks(self, s, block_size):
-        index = build_rank_index(s, block_size)
-        for k, count in enumerate(index.block_counts):
-            assert count == rank(1, k * block_size, s)
+    @given(bit_lists)
+    def test_block_counts_are_boundary_ranks(self, s):
+        # the directory's per-word counts, read back at each word boundary
+        index = BitVector(s)
+        for k in range(0, len(s) + 1, 64):
+            assert index.rank(1, k) == rank(1, k, s)
+
+
+class TestBitVector:
+    """Differential checks of BitVector against the oracles."""
+
+    @staticmethod
+    def assert_matches_oracle(s):
+        index = BitVector(s)
+        for b in (0, 1):
+            for i in range(len(s) + 3):
+                assert index.rank(b, i) == oracle_rank(b, i, s), (b, i)
+                assert index.select(b, i) == oracle_select(b, i, s), (b, i)
+        return index
+
+    @given(edge_lists)
+    def test_matches_oracle_near_word_edges(self, s):
+        index = self.assert_matches_oracle(s)
+        assert len(index) == len(s)
+        assert list(index) == s
+        assert [index[j] for j in range(len(s))] == s
+
+    @given(bit_lists)
+    def test_matches_oracle_on_arbitrary_lists(self, s):
+        self.assert_matches_oracle(s)
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 127, 128, 129, 320])
+    @pytest.mark.parametrize("value", [0, 1])
+    def test_constant_inputs(self, n, value):
+        self.assert_matches_oracle([value] * n)
+
+    def test_sample_values(self):
+        index = BitVector(BITS58)
+        assert index.select(1, 2) == 4
+        assert index.select(1, 17) == 36
+        assert index.select(1, 27) == 59
+        assert index.select(0, 0) == 0
+
+    def test_large_random_source(self):
+        import random
+
+        rng = random.Random(4096)
+        s = [rng.randint(0, 1) for _ in range(4096 + 17)]
+        index = BitVector(s)
+        edges = [k + d for k in range(0, len(s) + 64, 64) for d in (-1, 0, 1)]
+        for i in [i for i in edges if i >= 0] + [rng.randint(0, 2100) for _ in range(200)]:
+            for b in (0, 1):
+                assert index.rank(b, i) == oracle_rank(b, i, s), (b, i)
+                assert index.select(b, i) == oracle_select(b, i, s), (b, i)
+
+    def test_equality_and_hash_by_content(self):
+        assert BitVector([1, 0, 1]) == BitVector((1, 0, 1))
+        assert hash(BitVector([1, 0, 1])) == hash(BitVector((1, 0, 1)))
+        assert BitVector([1, 0, 1]) != BitVector([1, 0, 1, 0])
+        assert BitVector([0] * 64) != BitVector([0] * 63)
+
+    def test_is_immutable(self):
+        index = BitVector([1, 0])
+        with pytest.raises(AttributeError):
+            index._len = 5
+        with pytest.raises(TypeError):
+            index._words[0] = 0
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            BitVector([1, 0, 2])
+        with pytest.raises(IndexError):
+            BitVector([1, 0])[2]
+        with pytest.raises(ValueError):
+            BitVector([1]).select(1, -1)
 
 
 class TestAsciiFormat:

@@ -52,6 +52,14 @@ class TestLoudsBuild:
         assert code == 2
         assert "line 2" in err
 
+    def test_deep_chain(self, capsys, tmp_path):
+        n = 10**4
+        path = tmp_path / "chain.txt"
+        path.write_text(" ".join(f"({k}" for k in range(n)) + ")" * n)
+        code, out, _ = run(capsys, "louds-build", str(path))
+        assert code == 0
+        assert out.strip() == "10" * (n - 1) + "0"
+
     def test_size_law_on_random_files(self, capsys, tmp_path):
         import random
 
@@ -256,6 +264,25 @@ class TestDbvRun:
         path.write_text("insert 0 1\nrank 1\n")
         code, out, _ = run(capsys, "dbv-run", str(path), "--bounds", "8,32")
         assert (code, out.strip()) == (0, "-1")
+
+
+    def test_unverified_runner_keeps_no_mirror(self, monkeypatch):
+        import random
+
+        import succinct.verify as verify_mod
+
+        ops = random_script(random.Random(17), 300)
+        expected = ScriptRunner(SizeBounds(8, 32), verify=True).run(ops)
+
+        def forbidden(*args):
+            raise AssertionError("oracle called with verify off")
+
+        for name in ("insert1", "delete_at", "update_at", "oracle_rank", "oracle_select",
+                     "dflatten"):
+            monkeypatch.setattr(verify_mod, name, forbidden)
+        runner = ScriptRunner(SizeBounds(8, 32), verify=False)
+        assert runner.run(ops) == expected
+        assert runner.flat is None
 
 
 class TestVerifyCommand:

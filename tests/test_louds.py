@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from samples import LOUDS21, TREE10, TREE10_TEXT
 from succinct import (
+    BitVector,
     Louds,
     Tree,
     TreeParseError,
@@ -246,6 +247,34 @@ class TestCheckedLayer:
 
     def test_encode_constructor(self):
         assert list(Louds.encode(TREE10, super_root=True).bits) == LOUDS21
+
+    def test_bits_view_and_content_equality(self):
+        nav = Louds(LOUDS21)
+        assert nav.bits == tuple(LOUDS21)
+        assert len(nav) == len(LOUDS21)
+        assert nav == Louds(tuple(LOUDS21)) == Louds(BitVector(LOUDS21))
+        assert hash(nav) == hash(Louds.encode(TREE10, super_root=True))
+        assert nav != Louds(LOUDS21[:-2])
+
+    def test_is_immutable(self):
+        nav = Louds(LOUDS21)
+        with pytest.raises(AttributeError):
+            nav.vector = BitVector([0])
+        with pytest.raises(AttributeError):
+            nav.bits = (0,)
+
+    def test_deep_chain_encodes_without_recursion(self):
+        n = 10**4
+        t = Tree(n - 1)
+        for label in range(n - 2, -1, -1):
+            t = Tree(label, (t,))
+        nav = Louds.encode(t)
+        assert len(nav) == 2 * n - 1
+        assert nav.bits == (1, 0) * (n - 1) + (0,)
+        deepest = 2 * (n - 1)
+        assert nav.children(deepest) == 0
+        assert nav.parent(deepest) == deepest - 2
+        assert nav.child(deepest - 2, 0) == deepest
 
 
 class TestTreeText:
