@@ -3,8 +3,11 @@
 
 Replays random op scripts against the flat-list oracle, checking
 contents, well-formedness and the red-black invariant after every
-single op.  Any divergence aborts with a nonzero exit code and the
-failing seed, so a run is reproducible with --seed.
+single op.  Even-numbered scripts start from an empty vector; odd ones
+from ``from_bits`` of up to 8*high random bits, so the bulk-built
+shapes (evenly filled leaves, a red last level) go through splits,
+borrows and merges too.  Any divergence aborts with a nonzero exit
+code and the failing seed, so a run is reproducible with --seed.
 """
 
 import argparse
@@ -12,7 +15,7 @@ import random
 import sys
 import time
 
-from succinct import SizeBounds
+from succinct import SizeBounds, from_bits
 from succinct.verify import ScriptRunner, VerifyError, random_script
 
 
@@ -32,9 +35,14 @@ def main() -> int:
     start = time.perf_counter()
     for k in range(args.scripts):
         seed = base + k
-        runner = ScriptRunner(bounds, verify=True)
+        rng = random.Random(seed)
+        tree, size = None, 0
+        if k % 2:
+            size = rng.randint(0, 8 * args.high)
+            tree = from_bits([rng.getrandbits(1) for _ in range(size)], bounds)
         try:
-            runner.run(random_script(random.Random(seed), args.ops))
+            runner = ScriptRunner(bounds, verify=True, tree=tree)
+            runner.run(random_script(rng, args.ops, size))
         except VerifyError as e:
             print(f"FAILED at script seed {seed}: {e}", file=sys.stderr)
             return 1

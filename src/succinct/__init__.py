@@ -7,8 +7,9 @@ Three layers, each validated against a naive reference oracle:
   O(1) rank, O(log n) select.
 - ``louds``: pointerless level-order tree encoding with rank/select
   navigation (child count, i-th child, parent) on a ``BitVector``.
-- ``dynamic``: dynamic bit vectors as red-black trees over small flat
-  leaf arrays, with insert/delete/set/clear and tree-steered queries.
+- ``dynamic``: dynamic bit vectors as red-black trees over packed
+  leaf words, with insert/delete/set/clear, tree-steered queries and
+  an O(n) bulk build.
 """
 
 from .bitvec import (

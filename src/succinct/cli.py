@@ -13,7 +13,7 @@ import time
 from random import Random
 
 from .bitvec import format_bits, parse_bits
-from .dynamic import SizeBounds, dump, from_bits, parse_dump
+from .dynamic import SizeBounds, dump, from_bits, parse_dump, redblack_check, wf_check
 from .louds import (
     Louds,
     TreeParseError,
@@ -201,6 +201,13 @@ def _cmd_dbv_run(args) -> int:
     try:
         if args.init_tree is not None:
             tree = parse_dump(_read_file(args.init_tree))
+            # the updates trust num/ones, the leaf window and the colors; a
+            # tree that breaks them answers wrongly instead of failing
+            if not wf_check(tree, bounds, relaxed=True):
+                at = f"{bounds.low},{bounds.high}"
+                return _fail(f"{args.init_tree}: fails wf_check at bounds {at}", 2)
+            if redblack_check(tree) is None:
+                return _fail(f"{args.init_tree}: fails redblack_check", 2)
         elif args.init is not None:
             tree = from_bits(parse_bits(args.init), bounds)
         else:

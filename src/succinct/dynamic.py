@@ -1,12 +1,16 @@
 """Dynamic bit vectors on red-black trees.
 
-The tree keeps flat bit arrays in its leaves and, at every internal
-node, the pair (num, ones) = bit count and 1-count of the left subtree,
-so queries can steer left or right without touching the bits.  Leaves
-hold between ``low`` and ``high - 1`` bits (a lone root leaf may be
-smaller); a leaf that reaches ``high`` on insertion splits in two, and
-a leaf that would drop below ``low`` on deletion borrows a bit from a
-sibling leaf or merges with it.
+Each leaf packs its bits into one Python int, bit j of the leaf being
+bit j of the word (LSB first, as in ``bitvec.BitVector``), so in-leaf
+rank, select, access, insert, delete, split and merge are masks, shifts
+and ``int.bit_count`` -- the word operations the leaf window of w^2/2 to
+2w^2 bits is sized for.  Every internal node keeps the pair (num, ones)
+= bit count and 1-count of its left subtree, so queries steer left or
+right without touching the bits.  Leaves hold between ``low`` and
+``high - 1`` bits (a lone root leaf may be smaller); a leaf that reaches
+``high`` on insertion splits in two, and a leaf that would drop below
+``low`` on deletion borrows a bit from a sibling leaf or merges with it.
+``from_bits`` builds a balanced tree of evenly filled leaves in O(n).
 
 Updates are purely functional: they return new trees that share all
 untouched subtrees with the input.  ``dflatten`` defines the meaning of
@@ -20,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
-
-from .bitvec import format_bits, parse_bits, rank, select
 
 __all__ = [
     "BLACK",
@@ -64,12 +66,21 @@ RED = Color.RED
 BLACK = Color.BLACK
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
-    bits: list[int]
+    """``length`` bits packed LSB-first: bit j of the leaf is bit j of
+    ``word``, and ``word`` has no bit at or past ``length``."""
+
+    word: int
+    length: int
+
+    @classmethod
+    def of(cls, bits: Iterable[int]) -> "Leaf":
+        """The leaf holding ``bits``, index 0 first."""
+        return _leaf_of_text("".join("1" if b else "0" for b in bits))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     color: Color
     left: "DTree"
@@ -119,21 +130,77 @@ class Deleted:
 
 
 # ---------------------------------------------------------------------------
+# leaf words
+
+_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _leaf_of_text(text: str) -> Leaf:
+    """The leaf spelled by a '0'/'1' string, index 0 first."""
+    return Leaf(int(text[::-1], 2) if text else 0, len(text))
+
+
+def _leaf_text(leaf: Leaf) -> str:
+    """The '0'/'1' string of a leaf, index 0 first."""
+    return bin(leaf.word | 1 << leaf.length)[3:][::-1]
+
+
+def _split(leaf: Leaf, k: int) -> tuple[Leaf, Leaf]:
+    """The first k bits of a leaf and the rest."""
+    return Leaf(leaf.word & ((1 << k) - 1), k), Leaf(leaf.word >> k, leaf.length - k)
+
+
+def _join(a: Leaf, b: Leaf) -> Leaf:
+    return Leaf(a.word | b.word << a.length, a.length + b.length)
+
+
+def _without(leaf: Leaf, i: int) -> Leaf:
+    """The leaf with bit i removed."""
+    word = leaf.word
+    return Leaf(word & ((1 << i) - 1) | word >> (i + 1) << i, leaf.length - 1)
+
+
+def _leaf_select(word: int, length: int, i: int) -> int:
+    """1-based position of the i-th 1 of a ``length``-bit word: 0 for
+    i == 0, length + 1 when the word holds fewer than i 1s.  Halves the
+    word by masked bit counts, keeping the half that holds the answer."""
+    if i < 0:
+        raise ValueError("occurrence ordinal must be non-negative")
+    if i == 0:
+        return 0
+    if i > word.bit_count():
+        return length + 1
+    pos = 0
+    while length > 1:
+        half = length >> 1
+        low = word & ((1 << half) - 1)
+        count = low.bit_count()
+        if count < i:
+            i -= count
+            pos += half
+            word >>= half
+            length -= half
+        else:
+            word, length = low, half
+    return pos + 1
+
+
+# ---------------------------------------------------------------------------
 # queries
 
 
 def dflatten(t: DTree) -> list[int]:
-    """In-order concatenation of the leaf arrays."""
-    out: list[int] = []
+    """In-order concatenation of the leaf bits."""
+    texts: list[str] = []
     stack = [t]
     while stack:
         node = stack.pop()
         if isinstance(node, Leaf):
-            out.extend(node.bits)
+            texts.append(_leaf_text(node))
         else:
             stack.append(node.right)
             stack.append(node.left)
-    return out
+    return list("".join(texts).encode().translate(_FROM_ASCII))
 
 
 def dsize(t: DTree) -> int:
@@ -141,11 +208,13 @@ def dsize(t: DTree) -> int:
     while isinstance(t, Node):
         total += t.num
         t = t.right
-    return total + len(t.bits)
+    return total + t.length
 
 
 def drank(t: DTree, i: int) -> int:
     """1-count of the first i bits; i saturates at the total size."""
+    if i < 0:
+        raise ValueError("prefix length must be non-negative")
     acc = 0
     while isinstance(t, Node):
         if i < t.num:
@@ -154,7 +223,9 @@ def drank(t: DTree, i: int) -> int:
             acc += t.ones
             i -= t.num
             t = t.right
-    return acc + rank(1, i, t.bits)
+    if i >= t.length:
+        return acc + t.word.bit_count()
+    return acc + (t.word & ((1 << i) - 1)).bit_count()
 
 
 def dselect1(t: DTree, i: int) -> int:
@@ -167,7 +238,7 @@ def dselect1(t: DTree, i: int) -> int:
             acc += t.num
             i -= t.ones
             t = t.right
-    return acc + select(1, i, t.bits)
+    return acc + _leaf_select(t.word, t.length, i)
 
 
 def dselect0(t: DTree, i: int) -> int:
@@ -181,7 +252,7 @@ def dselect0(t: DTree, i: int) -> int:
             acc += t.num
             i -= zeros
             t = t.right
-    return acc + select(0, i, t.bits)
+    return acc + _leaf_select(~t.word & ((1 << t.length) - 1), t.length, i)
 
 
 def daccess(t: DTree, i: int) -> int:
@@ -193,7 +264,7 @@ def daccess(t: DTree, i: int) -> int:
         else:
             i -= t.num
             t = t.right
-    return t.bits[i]
+    return t.word >> i & 1
 
 
 # ---------------------------------------------------------------------------
@@ -201,48 +272,55 @@ def daccess(t: DTree, i: int) -> int:
 
 
 def _measure(t: DTree, low: int, high: int) -> tuple[bool, int, int]:
-    """(well_formed, size, ones) in a single pass."""
-    if isinstance(t, Leaf):
-        n = len(t.bits)
-        return low <= n < high, n, t.bits.count(1)
-    ok_l, size_l, ones_l = _measure(t.left, low, high)
-    ok_r, size_r, ones_r = _measure(t.right, low, high)
-    ok = ok_l and ok_r and t.num == size_l and t.ones == ones_l
-    return ok, size_l + size_r, ones_l + ones_r
+    """(well_formed, size, ones) in one in-order pass over an explicit
+    stack: a node's num and ones must be the bits and 1s the walk passes
+    between entering the node and finishing its left subtree."""
+    ok = True
+    size = ones = 0
+    stack: list = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Leaf):
+            ok = ok and low <= item.length < high and item.word >> item.length == 0
+            size += item.length
+            ones += item.word.bit_count()
+        elif isinstance(item, Node):
+            stack += (item.right, (item, size, ones), item.left)
+        else:
+            node, size_before, ones_before = item
+            ok = ok and node.num == size - size_before and node.ones == ones - ones_before
+    return ok, size, ones
 
 
 def wf_check(t: DTree, bounds: SizeBounds, relaxed: bool = False) -> bool:
     """Structural well-formedness: metadata matches the leaves and every
     leaf is inside the size window.  ``relaxed`` drops the lower bound
     when the whole tree is a single leaf."""
-    if relaxed and isinstance(t, Leaf):
-        return len(t.bits) < bounds.high
-    return _measure(t, bounds.low, bounds.high)[0]
+    low = 0 if relaxed and isinstance(t, Leaf) else bounds.low
+    return _measure(t, low, bounds.high)[0]
 
 
 def redblack_check(t: DTree, context: Color = RED) -> int | None:
     """Black height when the red-black invariant holds under ``context``
     (no red node with a red parent, equal black counts on every path),
-    None otherwise.  The default Red context rejects a red root."""
-
-    def walk(node: DTree, red_parent: bool) -> int | None:
+    None otherwise.  The default Red context rejects a red root.  Walks
+    an explicit stack, so any depth is safe."""
+    black_height = None
+    stack: list[tuple[DTree, int, bool]] = [(t, 0, context is RED)]
+    while stack:
+        node, blacks, red_parent = stack.pop()
         if isinstance(node, Leaf):
-            return 0
-        if node.color is RED:
+            if black_height is None:
+                black_height = blacks
+            elif blacks != black_height:
+                return None
+        elif node.color is RED:
             if red_parent:
                 return None
-            left = walk(node.left, True)
-            if left is None:
-                return None
-            right = walk(node.right, True)
-            return left if left == right else None
-        left = walk(node.left, False)
-        if left is None:
-            return None
-        right = walk(node.right, False)
-        return left + 1 if left == right else None
-
-    return walk(t, context is RED)
+            stack += ((node.right, blacks, True), (node.left, blacks, True))
+        else:
+            stack += ((node.right, blacks + 1, False), (node.left, blacks + 1, False))
+    return black_height
 
 
 def is_deleted_redblack(d: Deleted, context: Color, bh: int) -> bool:
@@ -258,13 +336,13 @@ def is_deleted_redblack(d: Deleted, context: Color, bh: int) -> bool:
 # insertion
 
 
-def _ins_leaf(bits: list[int], b: int, i: int, bounds: SizeBounds) -> DTree:
-    grown = bits[:i] + [b] + bits[i:]
-    if len(bits) + 1 == bounds.high:
-        n = (bounds.high + 1) // 2
-        left, right = grown[:n], grown[n:]
-        return Node(RED, Leaf(left), n, left.count(1), Leaf(right))
-    return Leaf(grown)
+def _ins_leaf(leaf: Leaf, b: int, i: int, bounds: SizeBounds) -> DTree:
+    word = leaf.word
+    grown = Leaf(word & ((1 << i) - 1) | b << i | word >> i << (i + 1), leaf.length + 1)
+    if grown.length == bounds.high:
+        left, right = _split(grown, (bounds.high + 1) // 2)
+        return Node(RED, left, left.length, left.word.bit_count(), right)
+    return grown
 
 
 def _balance_l(c: Color, l: DTree, num: int, ones: int, r: DTree) -> DTree:
@@ -316,7 +394,7 @@ def _balance_r(c: Color, l: DTree, num: int, ones: int, r: DTree) -> DTree:
 
 def _dins(t: DTree, b: int, i: int, bounds: SizeBounds) -> DTree:
     if isinstance(t, Leaf):
-        return _ins_leaf(t.bits, b, i, bounds)
+        return _ins_leaf(t, b, i, bounds)
     if i < t.num:
         return _balance_l(t.color, _dins(t.left, b, i, bounds), t.num + 1, t.ones + b, t.right)
     return _balance_r(t.color, t.left, t.num, t.ones, _dins(t.right, b, i - t.num, bounds))
@@ -340,11 +418,9 @@ def dinsert(t: DTree, b: int, i: int, bounds: SizeBounds) -> DTree:
 
 def _dset(t: DTree, i: int, value: int) -> tuple[DTree, bool]:
     if isinstance(t, Leaf):
-        if t.bits[i] == value:
+        if t.word >> i & 1 == value:
             return t, False
-        bits = t.bits.copy()
-        bits[i] = value
-        return Leaf(bits), True
+        return Leaf(t.word ^ 1 << i, t.length), True
     if i < t.num:
         left, changed = _dset(t.left, i, value)
         if not changed:
@@ -398,49 +474,45 @@ def dclear(t: DTree, i: int) -> tuple[DTree, bool]:
 
 
 def _del_left_leaf(c: Color, l: Leaf, num: int, ones: int, r: DTree, i: int, low: int) -> Deleted:
-    s = l.bits
-    b = s[i]
-    shrunk = s[:i] + s[i + 1 :]
-    if len(s) > low:
-        return Deleted(Node(c, Leaf(shrunk), num - 1, ones - b, r), False, (1, b))
+    b = l.word >> i & 1
+    shrunk = _without(l, i)
+    if l.length > low:
+        return Deleted(Node(c, shrunk, num - 1, ones - b, r), False, (1, b))
     if isinstance(r, Leaf):
-        t = r.bits
-        if len(t) > low:
-            m = t[0]
+        if r.length > low:
+            head, rest = _split(r, 1)
             return Deleted(
-                Node(c, Leaf(shrunk + [m]), num, ones - b + m, Leaf(t[1:])), False, (1, b)
+                Node(c, _join(shrunk, head), num, ones - b + head.word, rest), False, (1, b)
             )
-        return Deleted(Leaf(shrunk + t), c is BLACK, (1, b))
+        return Deleted(_join(shrunk, r), c is BLACK, (1, b))
     rl, rr = r.left, r.right
-    t1 = rl.bits
-    if len(t1) > low:
-        m = t1[0]
-        inner = Node(RED, Leaf(shrunk + [m]), num, ones - b + m, Leaf(t1[1:]))
+    if rl.length > low:
+        head, rest = _split(rl, 1)
+        inner = Node(RED, _join(shrunk, head), num, ones - b + head.word, rest)
         return Deleted(Node(c, inner, num - 1 + r.num, ones - b + r.ones, rr), False, (1, b))
-    return Deleted(Node(c, Leaf(shrunk + t1), num - 1 + r.num, ones - b + r.ones, rr), False, (1, b))
+    merged = Node(c, _join(shrunk, rl), num - 1 + r.num, ones - b + r.ones, rr)
+    return Deleted(merged, False, (1, b))
 
 
 def _del_right_leaf(c: Color, l: DTree, num: int, ones: int, r: Leaf, j: int, low: int) -> Deleted:
-    t = r.bits
-    b = t[j]
-    shrunk = t[:j] + t[j + 1 :]
-    if len(t) > low:
-        return Deleted(Node(c, l, num, ones, Leaf(shrunk)), False, (1, b))
+    b = r.word >> j & 1
+    shrunk = _without(r, j)
+    if r.length > low:
+        return Deleted(Node(c, l, num, ones, shrunk), False, (1, b))
     if isinstance(l, Leaf):
-        s = l.bits
-        if len(s) > low:
-            m = s[-1]
+        if l.length > low:
+            rest, tail = _split(l, l.length - 1)
             return Deleted(
-                Node(c, Leaf(s[:-1]), num - 1, ones - m, Leaf([m] + shrunk)), False, (1, b)
+                Node(c, rest, num - 1, ones - tail.word, _join(tail, shrunk)), False, (1, b)
             )
-        return Deleted(Leaf(s + shrunk), c is BLACK, (1, b))
+        return Deleted(_join(l, shrunk), c is BLACK, (1, b))
     ll, lr = l.left, l.right
-    s2 = lr.bits
-    if len(s2) > low:
-        m = s2[-1]
-        inner = Node(RED, ll, l.num, l.ones, Leaf(s2[:-1]))
-        return Deleted(Node(c, inner, num - 1, ones - m, Leaf([m] + shrunk)), False, (1, b))
-    return Deleted(Node(c, ll, l.num, l.ones, Leaf(s2 + shrunk)), False, (1, b))
+    if lr.length > low:
+        rest, tail = _split(lr, lr.length - 1)
+        inner = Node(RED, ll, l.num, l.ones, rest)
+        outer = Node(c, inner, num - 1, ones - tail.word, _join(tail, shrunk))
+        return Deleted(outer, False, (1, b))
+    return Deleted(Node(c, ll, l.num, l.ones, _join(lr, shrunk)), False, (1, b))
 
 
 def _fix_left_short(c: Color, l: DTree, num: int, ones: int, r: Node) -> tuple[DTree, bool]:
@@ -539,8 +611,7 @@ def ddel(t: DTree, i: int, bounds: SizeBounds) -> Deleted:
     metadata; callers guarantee a well-formed red-black input."""
     if isinstance(t, Leaf):
         # only the root can be a bare leaf
-        b = t.bits[i]
-        return Deleted(Leaf(t.bits[:i] + t.bits[i + 1 :]), False, (1, b))
+        return Deleted(_without(t, i), False, (1, t.word >> i & 1))
     if i < t.num:
         if isinstance(t.left, Leaf):
             return _del_left_leaf(t.color, t.left, t.num, t.ones, t.right, i, bounds.low)
@@ -565,11 +636,38 @@ def ddelete(t: DTree, i: int, bounds: SizeBounds) -> DTree:
 
 
 def from_bits(bits: Iterable[int], bounds: SizeBounds) -> DTree:
-    """Build a tree by successive insertion; correctness rides on dinsert."""
-    t: DTree = Leaf([])
-    for i, b in enumerate(bits):
-        t = dinsert(t, 1 if b else 0, i, bounds)
-    return t
+    """Build a balanced tree in O(n), bottom-up as in Hinze,
+    *Constructing Red-Black Trees* (1999).
+
+    The bits are cut into k evenly filled leaves, k chosen so that the
+    leaves sit nearest the middle of the size window; input shorter
+    than ``low`` is one root leaf.  Nodes above depth floor(log2 k) are
+    black, and the nodes of the last, partial level are red.
+    """
+    text = "".join("1" if b else "0" for b in bits)
+    n, low, high = len(text), bounds.low, bounds.high
+    if n < low:
+        return _leaf_of_text(text)
+    # every k in [n / (high - 1), n / low] keeps the leaves in the window
+    k = min(max(round(2 * n / (low + high)), -(-n // (high - 1))), n // low)
+    size, extra = divmod(n, k)
+    cuts = [j * size + min(j, extra) for j in range(k + 1)]
+    leaves = [_leaf_of_text(text[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return _build(leaves, 0, k, k.bit_length() - 1)[0]
+
+
+def _build(leaves: list[Leaf], lo: int, hi: int, bh: int) -> tuple[DTree, int, int]:
+    """(tree, size, ones) over leaves[lo:hi], which number between 2^bh
+    and 2^(bh + 1): black nodes down to black height bh, then a red node
+    wherever two leaves remain."""
+    if hi - lo == 1:
+        leaf = leaves[lo]
+        return leaf, leaf.length, leaf.word.bit_count()
+    mid = (lo + hi) // 2
+    left, num, ones = _build(leaves, lo, mid, bh - 1)
+    right, size_r, ones_r = _build(leaves, mid, hi, bh - 1)
+    color = BLACK if bh > 0 else RED
+    return Node(color, left, num, ones, right), num + size_r, ones + ones_r
 
 
 def dump(t: DTree) -> str:
@@ -580,7 +678,7 @@ def dump(t: DTree) -> str:
     def walk(node: DTree, depth: int) -> None:
         pad = "  " * depth
         if isinstance(node, Leaf):
-            lines.append(f'{pad}(leaf "{format_bits(node.bits)}")')
+            lines.append(f'{pad}(leaf "{_leaf_text(node)}")')
         else:
             lines.append(f"{pad}({node.color.value} num={node.num} ones={node.ones}")
             walk(node.left, depth + 1)
@@ -616,39 +714,65 @@ def _scan_sexpr(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+def _parse_leaf_bits(text: str) -> Leaf:
+    """The leaf of a quoted dump string; whitespace inside is ignored."""
+    text = "".join(text.split())
+    rest = text.lstrip("01")
+    if rest:
+        raise ValueError(f"invalid bit character {rest[0]!r} in tree dump leaf")
+    return _leaf_of_text(text)
+
+
 def _parse_dump_node(tokens: list[tuple[str, str]], pos: int) -> tuple[DTree, int]:
-    def expect(kind: str) -> tuple[str, str]:
+    """The node starting at tokens[pos] and the position after it.  Open
+    internal nodes wait on an explicit stack, so any depth is safe."""
+
+    def expect(kind: str) -> str:
         if pos >= len(tokens) or tokens[pos][0] != kind:
             raise ValueError(f"malformed tree dump near token {pos}")
-        return tokens[pos]
+        return tokens[pos][1]
 
-    expect("(")
-    pos += 1
-    kind, head = expect("atom")
-    pos += 1
-    if head == "leaf":
-        bits: list[int] = []
+    # (color, num, ones, children parsed so far) of each open node
+    open_nodes: list[tuple[Color, int, int, list[DTree]]] = []
+    while True:
+        expect("(")
+        pos += 1
+        head = expect("atom")
+        pos += 1
+        if head != "leaf":
+            try:
+                color = Color(head)
+            except ValueError:
+                raise ValueError(f"unknown node kind {head!r} in tree dump") from None
+            meta = []
+            for key in ("num", "ones"):
+                atom = expect("atom")
+                name, _, value = atom.partition("=")
+                if name != key or not value.lstrip("-").isdigit():
+                    raise ValueError(f"expected {key}=<int> in tree dump, got {atom!r}")
+                meta.append(int(value))
+                pos += 1
+            open_nodes.append((color, *meta, []))
+            continue
+        text = ""
         if pos < len(tokens) and tokens[pos][0] == "str":
-            bits = parse_bits(tokens[pos][1])
+            text = tokens[pos][1]
             pos += 1
         expect(")")
-        return Leaf(bits), pos + 1
-    try:
-        color = Color(head)
-    except ValueError:
-        raise ValueError(f"unknown node kind {head!r} in tree dump") from None
-    meta = {}
-    for key in ("num", "ones"):
-        _, atom = expect("atom")
-        name, _, value = atom.partition("=")
-        if name != key or not value.lstrip("-").isdigit():
-            raise ValueError(f"expected {key}=<int> in tree dump, got {atom!r}")
-        meta[key] = int(value)
         pos += 1
-    left, pos = _parse_dump_node(tokens, pos)
-    right, pos = _parse_dump_node(tokens, pos)
-    expect(")")
-    return Node(color, left, meta["num"], meta["ones"], right), pos + 1
+        node: DTree = _parse_leaf_bits(text)
+        # a finished node completes its parent when it is the right child
+        while open_nodes:
+            children = open_nodes[-1][3]
+            children.append(node)
+            if len(children) == 1:
+                break
+            color, num, ones, (left, right) = open_nodes.pop()
+            expect(")")
+            pos += 1
+            node = Node(color, left, num, ones, right)
+        else:
+            return node, pos
 
 
 def parse_dump(text: str) -> DTree:

@@ -152,10 +152,10 @@ def _expect_nav(what: str, want: int, raw: int, packed: int) -> None:
         raise VerifyError(f"{what}: Louds says {packed}, oracle says {want}")
 
 
-def random_script(rng: Random, n_ops: int = 200) -> list[tuple]:
-    """Mixed op sequence, valid against the size it builds up itself."""
+def random_script(rng: Random, n_ops: int = 200, size: int = 0) -> list[tuple]:
+    """Mixed op sequence, valid against a vector of ``size`` bits and
+    the size it builds up from there."""
     ops: list[tuple] = []
-    size = 0
     for _ in range(n_ops):
         r = rng.random()
         if size == 0 or r < 0.45:
@@ -187,7 +187,7 @@ class ScriptRunner:
     def __init__(self, bounds: SizeBounds, verify: bool = False, tree: DTree | None = None):
         self.bounds = bounds
         self.verify = verify
-        self.tree: DTree = tree if tree is not None else Leaf([])
+        self.tree: DTree = tree if tree is not None else Leaf(0, 0)
         self.flat: list[int] | None = None
         self.steps = 0
         if verify:

@@ -27,15 +27,15 @@ def dbv_sample() -> Node:
     b = parse_bits
     return Node(
         BLACK,
-        Node(BLACK, Leaf(b("10000010")), 8, 2, Leaf(b("00000100"))),
+        Node(BLACK, Leaf.of(b("10000010")), 8, 2, Leaf.of(b("00000100"))),
         16,
         3,
         Node(
             BLACK,
-            Node(RED, Leaf(b("00001010")), 8, 2, Leaf(b("00001011"))),
+            Node(RED, Leaf.of(b("00001010")), 8, 2, Leaf.of(b("00001011"))),
             16,
             5,
-            Leaf(b("10000001")),
+            Leaf.of(b("10000001")),
         ),
     )
 
@@ -50,13 +50,19 @@ DEL_BOUNDS = SizeBounds(3, 8)
 
 def del_borrow_sample() -> tuple[Node, Node]:
     b = parse_bits
-    before = Node(BLACK, Leaf(b("100")), 3, 1, Node(RED, Leaf(b("1011")), 4, 3, Leaf(b("111"))))
-    after = Node(BLACK, Node(RED, Leaf(b("101")), 3, 2, Leaf(b("011"))), 6, 4, Leaf(b("111")))
+    before = Node(
+        BLACK, Leaf.of(b("100")), 3, 1, Node(RED, Leaf.of(b("1011")), 4, 3, Leaf.of(b("111")))
+    )
+    after = Node(
+        BLACK, Node(RED, Leaf.of(b("101")), 3, 2, Leaf.of(b("011"))), 6, 4, Leaf.of(b("111"))
+    )
     return before, after
 
 
 def del_merge_sample() -> tuple[Node, Node]:
     b = parse_bits
-    before = Node(BLACK, Leaf(b("100")), 3, 1, Node(RED, Leaf(b("101")), 3, 2, Leaf(b("1111"))))
-    after = Node(BLACK, Leaf(b("10101")), 5, 3, Leaf(b("1111")))
+    before = Node(
+        BLACK, Leaf.of(b("100")), 3, 1, Node(RED, Leaf.of(b("101")), 3, 2, Leaf.of(b("1111")))
+    )
+    after = Node(BLACK, Leaf.of(b("10101")), 5, 3, Leaf.of(b("1111")))
     return before, after

@@ -245,6 +245,43 @@ class TestDbvRun:
         assert code == 0
         assert out.strip() == dump(after)
 
+    @pytest.mark.parametrize(
+        "text, check",
+        [
+            # num=5 over two 2-bit leaves
+            ('(Black num=5 ones=1 (leaf "10") (leaf "01"))', "wf_check"),
+            # a leaf below and a leaf above --bounds 2,4
+            ('(Black num=1 ones=1 (leaf "1") (leaf "01"))', "wf_check"),
+            ('(Black num=2 ones=1 (leaf "10") (leaf "01101"))', "wf_check"),
+            ('(Red num=2 ones=1 (leaf "10") (leaf "01"))', "redblack_check"),
+        ],
+    )
+    @pytest.mark.parametrize("verify", [[], ["--verify"]])
+    def test_inconsistent_init_tree_is_rejected(self, capsys, tmp_path, text, check, verify):
+        init = tmp_path / "init.txt"
+        init.write_text(text)
+        script = tmp_path / "s.txt"
+        script.write_text("access 3\nrank 4\nselect1 2\n")
+        code, out, err = run(
+            capsys, "dbv-run", str(script), "--init-tree", str(init), "--bounds", "2,4", *verify
+        )
+        assert (code, out) == (2, "")
+        assert check in err
+
+    def test_ten_thousand_deep_init_tree_is_rejected(self, capsys, tmp_path):
+        depth = 10_000
+        init = tmp_path / "init.txt"
+        init.write_text('(Black num=1 ones=1 (leaf "1") ' * depth + '(leaf "1")' + ")" * depth)
+        script = tmp_path / "s.txt"
+        script.write_text("rank 1\n")
+        # consistent metadata and leaves in the window, so both checks walk
+        # the whole depth; only the black heights are wrong
+        code, out, err = run(
+            capsys, "dbv-run", str(script), "--init-tree", str(init), "--bounds", "1,4"
+        )
+        assert (code, out) == (2, "")
+        assert "redblack_check" in err and "Traceback" not in err
+
     def test_verify_catches_injected_divergence(self, capsys, tmp_path, monkeypatch):
         # make the tree-side rank lie; the oracle mirror must catch it
         import succinct.verify as verify_mod
@@ -330,6 +367,6 @@ class TestRunnerDivergenceDetection:
     def test_bad_initial_tree_is_detected(self):
         from succinct import Leaf
 
-        bad = Leaf([1] * 100)  # beyond the leaf upper bound
+        bad = Leaf.of([1] * 100)  # beyond the leaf upper bound
         with pytest.raises(VerifyError):
             ScriptRunner(SizeBounds(8, 32), verify=True, tree=bad)

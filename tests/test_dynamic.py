@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +35,8 @@ from succinct import (
     select,
     wf_check,
 )
-from succinct.dynamic import _dins, balance_left_deleted, balance_right_deleted
+import succinct.dynamic as dynamic_mod
+from succinct.dynamic import _dins, _measure, balance_left_deleted, balance_right_deleted
 from succinct.oracle import delete_at, insert1, oracle_rank, oracle_select, update_at
 
 BOUNDS = SizeBounds(8, 32)
@@ -52,7 +54,7 @@ class TestFlattenAndQueries:
         assert dflatten(dbv_sample()) == DBV40_FLAT
 
     def test_flatten_leaf_is_identity(self):
-        assert dflatten(Leaf(b("0110"))) == b("0110")
+        assert dflatten(Leaf.of(b("0110"))) == b("0110")
 
     def test_from_bits_roundtrip(self):
         rng = random.Random(11)
@@ -114,12 +116,10 @@ class TestWellFormedness:
         assert not wf_check(corrupt, SizeBounds(8, 17))
 
     def test_relaxed_admits_small_root_leaf(self):
-        assert wf_check(Leaf([1]), BOUNDS, relaxed=True)
-        assert not wf_check(Leaf([1]), BOUNDS)
+        assert wf_check(Leaf.of([1]), BOUNDS, relaxed=True)
+        assert not wf_check(Leaf.of([1]), BOUNDS)
 
     def test_strict_implies_relaxed_and_relaxed_implies_zero_low(self):
-        from succinct.dynamic import _measure
-
         rng = random.Random(17)
         for _ in range(50):
             bits = [rng.randint(0, 1) for _ in range(rng.randint(0, 80))]
@@ -144,44 +144,44 @@ class TestRedblackCheck:
         assert redblack_check(dbv_sample()) == 2
 
     def test_rejects_red_red(self):
-        inner = Node(RED, Leaf(b("1")), 1, 1, Leaf(b("0")))
-        t = Node(RED, inner, 2, 1, Leaf(b("0")))
+        inner = Node(RED, Leaf.of(b("1")), 1, 1, Leaf.of(b("0")))
+        t = Node(RED, inner, 2, 1, Leaf.of(b("0")))
         assert redblack_check(t, context=Color.BLACK) is None
 
     def test_red_root_invalid_under_red_context(self):
-        t = Node(RED, Leaf(b("1")), 1, 1, Leaf(b("0")))
+        t = Node(RED, Leaf.of(b("1")), 1, 1, Leaf.of(b("0")))
         assert redblack_check(t) is None
         assert redblack_check(t, context=Color.BLACK) == 0
 
     def test_rejects_uneven_black_height(self):
-        deep = Node(BLACK, Leaf(b("1")), 1, 1, Leaf(b("0")))
-        t = Node(BLACK, deep, 2, 1, Leaf(b("0")))
+        deep = Node(BLACK, Leaf.of(b("1")), 1, 1, Leaf.of(b("0")))
+        t = Node(BLACK, deep, 2, 1, Leaf.of(b("0")))
         assert redblack_check(t) is None
 
 
 class TestInsert:
     def test_leaf_split_keeps_red_below_root_paint(self):
         # the raw insert splits a full leaf into a red node ...
-        raw = _dins(Leaf(b("101")), 1, 3, SizeBounds(2, 4))
-        assert raw == Node(RED, Leaf(b("10")), 2, 1, Leaf(b("11")))
+        raw = _dins(Leaf.of(b("101")), 1, 3, SizeBounds(2, 4))
+        assert raw == Node(RED, Leaf.of(b("10")), 2, 1, Leaf.of(b("11")))
         # ... and the public wrapper then paints the root black
-        t = dinsert(Leaf(b("101")), 1, 3, SizeBounds(2, 4))
-        assert t == Node(BLACK, Leaf(b("10")), 2, 1, Leaf(b("11")))
+        t = dinsert(Leaf.of(b("101")), 1, 3, SizeBounds(2, 4))
+        assert t == Node(BLACK, Leaf.of(b("10")), 2, 1, Leaf.of(b("11")))
         assert dflatten(t) == b("1011")
 
     def test_no_split_below_threshold(self):
-        assert dinsert(Leaf(b("10")), 1, 1, SizeBounds(4, 8)) == Leaf(b("110"))
+        assert dinsert(Leaf.of(b("10")), 1, 1, SizeBounds(4, 8)) == Leaf.of(b("110"))
 
     def test_insert_position_out_of_range(self):
         with pytest.raises(IndexError):
-            dinsert(Leaf(b("10")), 1, 3, BOUNDS)
+            dinsert(Leaf.of(b("10")), 1, 3, BOUNDS)
 
     def test_random_insert_sequences_match_oracle(self):
         # tight bounds force frequent splits and rebalances
         rng = random.Random(29)
         bounds = SizeBounds(4, 8)
         for _ in range(1000):
-            t, flat = Leaf([]), []
+            t, flat = Leaf.of([]), []
             for _ in range(rng.randint(1, 48)):
                 i = rng.randint(0, len(flat))
                 bit = rng.randint(0, 1)
@@ -222,7 +222,7 @@ class TestSetClear:
 
         def shape(node):
             if isinstance(node, Leaf):
-                return ("leaf", len(node.bits))
+                return ("leaf", node.length)
             return (node.color, shape(node.left), shape(node.right))
 
         t2, _ = dset(t, 33)
@@ -230,9 +230,9 @@ class TestSetClear:
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            dset(Leaf(b("10")), 2)
+            dset(Leaf.of(b("10")), 2)
         with pytest.raises(IndexError):
-            dclear(Leaf([]), 0)
+            dclear(Leaf.of([]), 0)
 
 
 class TestDelete:
@@ -268,17 +268,17 @@ class TestDelete:
 
     def test_delete_to_empty_leaf(self):
         t = from_bits(b("1"), BOUNDS)
-        assert ddelete(t, 0, BOUNDS) == Leaf([])
+        assert ddelete(t, 0, BOUNDS) == Leaf.of([])
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            ddelete(Leaf(b("1")), 1, BOUNDS)
+            ddelete(Leaf.of(b("1")), 1, BOUNDS)
 
     def test_random_interleaved_sequences_match_oracle(self):
         rng = random.Random(37)
         bounds = SizeBounds(3, 8)
         for _ in range(1000):
-            t, flat = Leaf([]), []
+            t, flat = Leaf.of([]), []
             for _ in range(rng.randint(1, 30)):
                 if flat and rng.random() < 0.45:
                     i = rng.randrange(len(flat))
@@ -301,7 +301,7 @@ class TestDelete:
             t = ddelete(t, i, bounds)
             flat = delete_at(flat, i)
             check_state(t, flat, bounds)
-        assert t == Leaf([])
+        assert t == Leaf.of([])
 
 
 def _random_redblack(rng, bh, context, low, high):
@@ -311,7 +311,7 @@ def _random_redblack(rng, bh, context, low, high):
             left = _random_redblack(rng, 0, RED, low, high)
             right = _random_redblack(rng, 0, RED, low, high)
             return Node(RED, left, dsize(left), dflatten(left).count(1), right)
-        return Leaf([rng.randint(0, 1) for _ in range(rng.randint(low, high - 1))])
+        return Leaf.of([rng.randint(0, 1) for _ in range(rng.randint(low, high - 1))])
     color = BLACK if context is RED or rng.random() < 0.6 else RED
     child_bh = bh - 1 if color is BLACK else bh
     child_ctx = color
@@ -325,10 +325,10 @@ class TestDeletedBalance:
     accounting across every rotation case."""
 
     def test_no_down_builds_plain_node(self):
-        left = Deleted(Leaf(b("1010")), False, (1, 0))
-        right = Leaf(b("0011"))
+        left = Deleted(Leaf.of(b("1010")), False, (1, 0))
+        right = Leaf.of(b("0011"))
         out = balance_left_deleted(BLACK, left, 4, 2, right)
-        assert out.tree == Node(BLACK, Leaf(b("1010")), 4, 2, Leaf(b("0011")))
+        assert out.tree == Node(BLACK, Leaf.of(b("1010")), 4, 2, Leaf.of(b("0011")))
         assert not out.down and out.deleted == (1, 0)
 
     @pytest.mark.parametrize("parent_color", [RED, BLACK])
@@ -422,6 +422,25 @@ class TestDumpFormat:
             parse_dump("")
         with pytest.raises(ValueError):
             parse_dump('(leaf "01") junk')
+        with pytest.raises(ValueError, match="invalid bit character '2'"):
+            parse_dump('(leaf "0121")')
+        with pytest.raises(ValueError):
+            parse_dump('(Black num=1 ones=0 (leaf "0")')
+
+    def test_leaf_text_is_index_order(self):
+        t = Node(BLACK, Leaf(0b110, 3), 3, 2, Leaf(0, 0))
+        assert dump(t) == '(Black num=3 ones=2\n  (leaf "011")\n  (leaf ""))'
+        assert parse_dump(dump(t)) == t
+        assert parse_dump('(leaf "01 1")') == Leaf.of([0, 1, 1])
+        assert parse_dump("(leaf)") == Leaf.of([])
+
+    def test_ten_thousand_deep_dump_parses_and_checks(self):
+        depth = 10_000
+        text = '(Black num=1 ones=1 (leaf "1") ' * depth + '(leaf "1")' + ")" * depth
+        t = parse_dump(text)
+        assert dsize(t) == depth + 1
+        assert wf_check(t, SizeBounds(1, 4))
+        assert redblack_check(t) is None
 
 
 class TestFacade:
@@ -470,7 +489,7 @@ def op_batches(draw):
 @given(op_batches())
 def test_update_sequences_preserve_all_invariants(ops):
     bounds = SizeBounds(3, 8)
-    t, flat = Leaf([]), []
+    t, flat = Leaf.of([]), []
     for op in ops:
         if op[0] == "insert":
             t = dinsert(t, op[2], op[1], bounds)
@@ -479,3 +498,107 @@ def test_update_sequences_preserve_all_invariants(ops):
             t = ddelete(t, op[1], bounds)
             flat = delete_at(flat, op[1])
         check_state(t, flat, bounds)
+
+
+# ---------------------------------------------------------------------------
+# packed leaves and the bulk build, against the oracle
+
+EDGE_BOUNDS = SizeBounds(40, 130)
+# word edges, and the edges of the leaf window
+EDGE_LENGTHS = (0, 1, 63, 64, 65, EDGE_BOUNDS.low - 1, EDGE_BOUNDS.low, EDGE_BOUNDS.high - 1)
+
+
+@st.composite
+def edge_trees(draw):
+    """A root leaf, or a black node over two leaves, with leaf lengths at
+    word and window edges; returns (tree, flat bits)."""
+    lengths = draw(st.lists(st.sampled_from(EDGE_LENGTHS), min_size=1, max_size=2))
+    parts = [draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) for n in lengths]
+    if len(parts) == 1:
+        return Leaf.of(parts[0]), parts[0]
+    left, right = parts
+    return Node(BLACK, Leaf.of(left), len(left), left.count(1), Leaf.of(right)), left + right
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_trees())
+def test_packed_queries_match_oracle(case):
+    t, flat = case
+    for i in range(len(flat) + 3):
+        assert drank(t, i) == oracle_rank(1, i, flat)
+        assert dselect0(t, i) == oracle_select(0, i, flat)
+        assert dselect1(t, i) == oracle_select(1, i, flat)
+    for i in range(len(flat)):
+        assert daccess(t, i) == flat[i]
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_trees(), st.integers(0, 1))
+def test_packed_updates_match_oracle(case, bit):
+    t, flat = case
+    n = len(flat)
+    well_formed = wf_check(t, EDGE_BOUNDS, relaxed=True)
+    results = []
+    for i in {0, n // 2, n}:
+        results.append((dinsert(t, bit, i, EDGE_BOUNDS), insert1(flat, bit, i)))
+    for i in {0, n // 2, n - 1} if n else ():
+        results.append((ddelete(t, i, EDGE_BOUNDS), delete_at(flat, i)))
+    for got, want in results:
+        assert dflatten(got) == want
+        # metadata and leaf words stay exact even below the window
+        assert _measure(got, 0, EDGE_BOUNDS.high) == (True, len(want), want.count(1))
+        if well_formed:
+            check_state(got, want, EDGE_BOUNDS)
+
+
+def _levels(t):
+    """(depth, node) of every node, root first."""
+    out, stack = [], [(t, 0)]
+    while stack:
+        node, depth = stack.pop()
+        out.append((depth, node))
+        if isinstance(node, Node):
+            stack += ((node.right, depth + 1), (node.left, depth + 1))
+    return out
+
+
+@pytest.mark.parametrize("bounds", [SizeBounds(4, 8), SizeBounds(8, 32)])
+def test_bulk_build_every_size(bounds, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("from_bits called dinsert")
+
+    monkeypatch.setattr(dynamic_mod, "dinsert", forbidden)
+    rng = random.Random(bounds.high)
+    for n in range(3 * bounds.high + 1):
+        bits = [rng.randint(0, 1) for _ in range(n)]
+        t = from_bits(bits, bounds)
+        assert dflatten(t) == bits
+        assert wf_check(t, bounds, relaxed=True)
+        assert wf_check(t, bounds) == (n >= bounds.low)
+        assert redblack_check(t) is not None
+        nodes = _levels(t)
+        sizes = [node.length for _, node in nodes if isinstance(node, Leaf)]
+        assert max(sizes) - min(sizes) <= 1
+        # black above depth floor(log2 k), red on the last, partial level
+        last = len(sizes).bit_length() - 1
+        for depth, node in nodes:
+            if isinstance(node, Node):
+                assert node.color is (RED if depth == last else BLACK)
+
+
+def test_leaf_is_a_hashable_frozen_value():
+    a = Leaf.of([1, 0, 1])
+    assert a == Leaf.of(b("101")) == Leaf(0b101, 3)
+    assert hash(a) == hash(Leaf.of(b("101")))
+    assert Leaf.of([1, 0]) != Leaf.of([1, 0, 0])
+    assert len({a, Leaf.of([1, 0, 1]), Leaf.of([])}) == 2
+    assert hash(dbv_sample()) == hash(dbv_sample())
+    with pytest.raises(FrozenInstanceError):
+        a.word = 0
+    with pytest.raises(FrozenInstanceError):
+        a.length = 4
+
+
+def test_wf_check_rejects_stray_word_bits():
+    assert not wf_check(Leaf(0b1101, 3), BOUNDS, relaxed=True)
+    assert not wf_check(Leaf(-1, 3), BOUNDS, relaxed=True)
