@@ -27,7 +27,6 @@ from .dynamic import (
     BLACK,
     RED,
     Color,
-    Deleted,
     DTree,
     DynamicBitVector,
     Leaf,
@@ -35,7 +34,6 @@ from .dynamic import (
     SizeBounds,
     daccess,
     dclear,
-    ddel,
     ddelete,
     dflatten,
     dinsert,
@@ -46,7 +44,6 @@ from .dynamic import (
     dsize,
     dump,
     from_bits,
-    is_deleted_redblack,
     parse_dump,
     redblack_check,
     wf_check,

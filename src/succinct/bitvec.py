@@ -106,6 +106,15 @@ def pred(b: Bit, s: BitSeq, y: int) -> int:
     return select(b, rank(b, y, s), s)
 
 
+def _ascii_bits(bits: BitSeq) -> bytes:
+    """The ASCII '0'/'1' spelling of a bit sequence.  A bit is an int
+    (bools included) equal to 0 or 1; anything else raises."""
+    raw = bytes(bits)
+    if raw.translate(None, b"\x00\x01"):
+        raise ValueError("bits must be 0 or 1")
+    return raw.translate(_TO_ASCII)
+
+
 def _frozen_words(values) -> memoryview:
     """Read-only sequence of unsigned 64-bit ints."""
     return memoryview(array("Q", values).tobytes()).cast("Q")
@@ -139,12 +148,9 @@ class BitVector:
     __slots__ = ("_len", "_words", "_ones")
 
     def __init__(self, bits: BitSeq):
-        raw = bytes(bits)
-        if raw.translate(None, b"\x00\x01"):
-            raise ValueError("bits must be 0 or 1")
-        text = raw.translate(_TO_ASCII)
+        text = _ascii_bits(bits)
         words = [int(text[k : k + 64][::-1], 2) for k in range(0, len(text), 64)]
-        object.__setattr__(self, "_len", len(raw))
+        object.__setattr__(self, "_len", len(text))
         object.__setattr__(self, "_words", _frozen_words(words))
         ones = accumulate((w.bit_count() for w in words), initial=0)
         object.__setattr__(self, "_ones", _frozen_words(ones))

@@ -203,7 +203,7 @@ def _cmd_dbv_run(args) -> int:
             tree = parse_dump(_read_file(args.init_tree))
             # the updates trust num/ones, the leaf window and the colors; a
             # tree that breaks them answers wrongly instead of failing
-            if not wf_check(tree, bounds, relaxed=True):
+            if not wf_check(tree, bounds):
                 at = f"{bounds.low},{bounds.high}"
                 return _fail(f"{args.init_tree}: fails wf_check at bounds {at}", 2)
             if redblack_check(tree) is None:
@@ -278,8 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dbv-run", help="replay a dynamic bit vector op script")
     p.add_argument("script", help="op script file, one op per line")
-    p.add_argument("--init", help="initial contents as an ASCII bit string")
-    p.add_argument("--init-tree", help="initial tree in the debug dump format")
+    init = p.add_mutually_exclusive_group()
+    init.add_argument("--init", help="initial contents as an ASCII bit string")
+    init.add_argument("--init-tree", help="initial tree in the debug dump format")
     p.add_argument("--bounds", type=_bounds_arg, help="leaf bounds as low,high (default w=64)")
     p.add_argument("--verify", action="store_true", help="mirror every op on the flat oracle")
     p.add_argument("--dump", action="store_true", help="print the final tree")

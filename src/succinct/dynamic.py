@@ -25,21 +25,19 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
+from .bitvec import _FROM_ASCII, _ascii_bits
+
 __all__ = [
     "BLACK",
     "Color",
     "DTree",
-    "Deleted",
     "DynamicBitVector",
     "Leaf",
     "Node",
     "RED",
     "SizeBounds",
-    "balance_left_deleted",
-    "balance_right_deleted",
     "daccess",
     "dclear",
-    "ddel",
     "ddelete",
     "dflatten",
     "dinsert",
@@ -50,7 +48,6 @@ __all__ = [
     "dsize",
     "dump",
     "from_bits",
-    "is_deleted_redblack",
     "parse_dump",
     "redblack_check",
     "wf_check",
@@ -77,7 +74,7 @@ class Leaf:
     @classmethod
     def of(cls, bits: Iterable[int]) -> "Leaf":
         """The leaf holding ``bits``, index 0 first."""
-        return _leaf_of_text("".join("1" if b else "0" for b in bits))
+        return _leaf_of_text(_ascii_bits(bits))
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,7 +100,6 @@ class SizeBounds:
 
     low: int
     high: int
-    w: int | None = None
 
     def __post_init__(self):
         if self.low < 1:
@@ -115,27 +111,14 @@ class SizeBounds:
     def from_w(cls, w: int) -> "SizeBounds":
         if w < 2:
             raise ValueError("w must be at least 2")
-        return cls(w * w // 2, 2 * w * w, w)
-
-
-@dataclass(frozen=True)
-class Deleted:
-    """Result of an internal delete step: the rebuilt subtree, whether
-    its black height dropped, and the (count, ones) delta of the removed
-    bit, applied to ancestor metadata on the way back up."""
-
-    tree: DTree
-    down: bool
-    deleted: tuple[int, int]
+        return cls(w * w // 2, 2 * w * w)
 
 
 # ---------------------------------------------------------------------------
 # leaf words
 
-_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
 
-
-def _leaf_of_text(text: str) -> Leaf:
+def _leaf_of_text(text: str | bytes) -> Leaf:
     """The leaf spelled by a '0'/'1' string, index 0 first."""
     return Leaf(int(text[::-1], 2) if text else 0, len(text))
 
@@ -292,11 +275,11 @@ def _measure(t: DTree, low: int, high: int) -> tuple[bool, int, int]:
     return ok, size, ones
 
 
-def wf_check(t: DTree, bounds: SizeBounds, relaxed: bool = False) -> bool:
+def wf_check(t: DTree, bounds: SizeBounds) -> bool:
     """Structural well-formedness: metadata matches the leaves and every
-    leaf is inside the size window.  ``relaxed`` drops the lower bound
-    when the whole tree is a single leaf."""
-    low = 0 if relaxed and isinstance(t, Leaf) else bounds.low
+    leaf is inside the size window, except that a lone root leaf may
+    hold fewer than ``low`` bits."""
+    low = 0 if isinstance(t, Leaf) else bounds.low
     return _measure(t, low, bounds.high)[0]
 
 
@@ -321,15 +304,6 @@ def redblack_check(t: DTree, context: Color = RED) -> int | None:
         else:
             stack += ((node.right, blacks + 1, False), (node.left, blacks + 1, False))
     return black_height
-
-
-def is_deleted_redblack(d: Deleted, context: Color, bh: int) -> bool:
-    """Red-black validity for a delete result: either the black height
-    is unchanged under ``context``, or the down flag is set and the tree
-    is valid one level shorter under a red context."""
-    if d.down:
-        return redblack_check(d.tree, RED) == bh - 1
-    return redblack_check(d.tree, context) == bh
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +375,12 @@ def _dins(t: DTree, b: int, i: int, bounds: SizeBounds) -> DTree:
 
 
 def dinsert(t: DTree, b: int, i: int, bounds: SizeBounds) -> DTree:
-    """Insert bit b at position i (0 <= i <= size); the root is repainted
-    black afterwards."""
+    """Insert bit b (0 or 1, bools included) at position i
+    (0 <= i <= size); the root is repainted black afterwards."""
     if not 0 <= i <= dsize(t):
         raise IndexError(f"insert position {i} out of range")
-    b = 1 if b else 0
+    if not (isinstance(b, int) and 0 <= b <= 1):
+        raise ValueError(f"bit must be 0 or 1, got {b!r}")
     root = _dins(t, b, i, bounds)
     if isinstance(root, Node) and root.color is RED:
         return Node(BLACK, root.left, root.num, root.ones, root.right)
@@ -468,51 +443,52 @@ def dclear(t: DTree, i: int) -> tuple[DTree, bool]:
 #   right leaf  (the four mirrored cases, borrowing the last bit / merging
 #               with the nearest leaf on the left)
 #
-# Deeper deletions delegate to balance_left_deleted/balance_right_deleted,
-# which resolve a black-height deficit with the standard rotation /
-# recoloring cases, rebuilding (num, ones) from existing metadata only.
+# _ddel and the leaf cases return the plain triple (tree, down, bit):
+# the rebuilt subtree, whether its black height dropped by one, and the
+# removed bit, which each ancestor subtracts from its 1-count on the way
+# back up.  A drop in a deeper subtree is repaired by _fix_left_short /
+# _fix_right_short with the standard rotation / recoloring cases,
+# rebuilding (num, ones) from existing metadata only.
+
+_Step = tuple[DTree, bool, int]
 
 
-def _del_left_leaf(c: Color, l: Leaf, num: int, ones: int, r: DTree, i: int, low: int) -> Deleted:
+def _del_left_leaf(c: Color, l: Leaf, num: int, ones: int, r: DTree, i: int, low: int) -> _Step:
     b = l.word >> i & 1
     shrunk = _without(l, i)
     if l.length > low:
-        return Deleted(Node(c, shrunk, num - 1, ones - b, r), False, (1, b))
+        return Node(c, shrunk, num - 1, ones - b, r), False, b
     if isinstance(r, Leaf):
         if r.length > low:
             head, rest = _split(r, 1)
-            return Deleted(
-                Node(c, _join(shrunk, head), num, ones - b + head.word, rest), False, (1, b)
-            )
-        return Deleted(_join(shrunk, r), c is BLACK, (1, b))
+            return Node(c, _join(shrunk, head), num, ones - b + head.word, rest), False, b
+        return _join(shrunk, r), c is BLACK, b
     rl, rr = r.left, r.right
     if rl.length > low:
         head, rest = _split(rl, 1)
         inner = Node(RED, _join(shrunk, head), num, ones - b + head.word, rest)
-        return Deleted(Node(c, inner, num - 1 + r.num, ones - b + r.ones, rr), False, (1, b))
+        return Node(c, inner, num - 1 + r.num, ones - b + r.ones, rr), False, b
     merged = Node(c, _join(shrunk, rl), num - 1 + r.num, ones - b + r.ones, rr)
-    return Deleted(merged, False, (1, b))
+    return merged, False, b
 
 
-def _del_right_leaf(c: Color, l: DTree, num: int, ones: int, r: Leaf, j: int, low: int) -> Deleted:
+def _del_right_leaf(c: Color, l: DTree, num: int, ones: int, r: Leaf, j: int, low: int) -> _Step:
     b = r.word >> j & 1
     shrunk = _without(r, j)
     if r.length > low:
-        return Deleted(Node(c, l, num, ones, shrunk), False, (1, b))
+        return Node(c, l, num, ones, shrunk), False, b
     if isinstance(l, Leaf):
         if l.length > low:
             rest, tail = _split(l, l.length - 1)
-            return Deleted(
-                Node(c, rest, num - 1, ones - tail.word, _join(tail, shrunk)), False, (1, b)
-            )
-        return Deleted(_join(l, shrunk), c is BLACK, (1, b))
+            return Node(c, rest, num - 1, ones - tail.word, _join(tail, shrunk)), False, b
+        return _join(l, shrunk), c is BLACK, b
     ll, lr = l.left, l.right
     if lr.length > low:
         rest, tail = _split(lr, lr.length - 1)
         inner = Node(RED, ll, l.num, l.ones, rest)
         outer = Node(c, inner, num - 1, ones - tail.word, _join(tail, shrunk))
-        return Deleted(outer, False, (1, b))
-    return Deleted(Node(c, ll, l.num, l.ones, _join(lr, shrunk)), False, (1, b))
+        return outer, False, b
+    return Node(c, ll, l.num, l.ones, _join(lr, shrunk)), False, b
 
 
 def _fix_left_short(c: Color, l: DTree, num: int, ones: int, r: Node) -> tuple[DTree, bool]:
@@ -589,46 +565,35 @@ def _fix_right_short(c: Color, l: Node, num: int, ones: int, r: DTree) -> tuple[
     return Node(BLACK, l.left, l.num, l.ones, inner), down
 
 
-def balance_left_deleted(c: Color, l: Deleted, num: int, ones: int, r: DTree) -> Deleted:
-    """Rebuild after a delete in the left subtree; num/ones already
-    account for the removed bit."""
-    if not l.down:
-        return Deleted(Node(c, l.tree, num, ones, r), False, l.deleted)
-    fixed, down = _fix_left_short(c, l.tree, num, ones, r)
-    return Deleted(fixed, down, l.deleted)
-
-
-def balance_right_deleted(c: Color, l: DTree, num: int, ones: int, r: Deleted) -> Deleted:
-    """Rebuild after a delete in the right subtree."""
-    if not r.down:
-        return Deleted(Node(c, l, num, ones, r.tree), False, r.deleted)
-    fixed, down = _fix_right_short(c, l, num, ones, r.tree)
-    return Deleted(fixed, down, r.deleted)
-
-
-def ddel(t: DTree, i: int, bounds: SizeBounds) -> Deleted:
-    """Delete bit i, reporting the black-height change and removed-bit
-    metadata; callers guarantee a well-formed red-black input."""
-    if isinstance(t, Leaf):
-        # only the root can be a bare leaf
-        return Deleted(_without(t, i), False, (1, t.word >> i & 1))
-    if i < t.num:
-        if isinstance(t.left, Leaf):
-            return _del_left_leaf(t.color, t.left, t.num, t.ones, t.right, i, bounds.low)
-        d = ddel(t.left, i, bounds)
-        return balance_left_deleted(t.color, d, t.num - 1, t.ones - d.deleted[1], t.right)
-    j = i - t.num
-    if isinstance(t.right, Leaf):
-        return _del_right_leaf(t.color, t.left, t.num, t.ones, t.right, j, bounds.low)
-    d = ddel(t.right, j, bounds)
-    return balance_right_deleted(t.color, t.left, t.num, t.ones, d)
+def _ddel(t: Node, i: int, low: int) -> _Step:
+    """Delete bit i below a node of a well-formed red-black tree."""
+    c, l, num, ones, r = t.color, t.left, t.num, t.ones, t.right
+    if i < num:
+        if isinstance(l, Leaf):
+            return _del_left_leaf(c, l, num, ones, r, i, low)
+        l, down, b = _ddel(l, i, low)
+        if down:
+            fixed, down = _fix_left_short(c, l, num - 1, ones - b, r)
+            return fixed, down, b
+        return Node(c, l, num - 1, ones - b, r), False, b
+    j = i - num
+    if isinstance(r, Leaf):
+        return _del_right_leaf(c, l, num, ones, r, j, low)
+    r, down, b = _ddel(r, j, low)
+    if down:
+        fixed, down = _fix_right_short(c, l, num, ones, r)
+        return fixed, down, b
+    return Node(c, l, num, ones, r), False, b
 
 
 def ddelete(t: DTree, i: int, bounds: SizeBounds) -> DTree:
     """Delete bit i (0 <= i < size)."""
     if not 0 <= i < dsize(t):
         raise IndexError(f"delete position {i} out of range")
-    return ddel(t, i, bounds).tree
+    if isinstance(t, Leaf):
+        # only the root can be a bare leaf
+        return _without(t, i)
+    return _ddel(t, i, bounds.low)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +609,7 @@ def from_bits(bits: Iterable[int], bounds: SizeBounds) -> DTree:
     than ``low`` is one root leaf.  Nodes above depth floor(log2 k) are
     black, and the nodes of the last, partial level are red.
     """
-    text = "".join("1" if b else "0" for b in bits)
+    text = _ascii_bits(bits)
     n, low, high = len(text), bounds.low, bounds.high
     if n < low:
         return _leaf_of_text(text)
@@ -672,20 +637,19 @@ def _build(leaves: list[Leaf], lo: int, hi: int, bh: int) -> tuple[DTree, int, i
 
 def dump(t: DTree) -> str:
     """Indented s-expression with color/num/ones per node and quoted leaf
-    bits; ``parse_dump`` reads it back."""
+    bits; ``parse_dump`` reads it back.  Walks an explicit stack, so any
+    depth is safe: each leaf line carries the closing parentheses of the
+    nodes whose rightmost leaf it is."""
     lines: list[str] = []
-
-    def walk(node: DTree, depth: int) -> None:
+    stack: list[tuple[DTree, int, int]] = [(t, 0, 0)]
+    while stack:
+        node, depth, closes = stack.pop()
         pad = "  " * depth
         if isinstance(node, Leaf):
-            lines.append(f'{pad}(leaf "{_leaf_text(node)}")')
+            lines.append(f'{pad}(leaf "{_leaf_text(node)}")' + ")" * closes)
         else:
             lines.append(f"{pad}({node.color.value} num={node.num} ones={node.ones}")
-            walk(node.left, depth + 1)
-            walk(node.right, depth + 1)
-            lines[-1] += ")"
-
-    walk(t, 0)
+            stack += ((node.right, depth + 1, closes + 1), (node.left, depth + 1, 0))
     return "\n".join(lines)
 
 

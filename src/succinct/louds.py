@@ -407,7 +407,18 @@ def parse_tree(text: str) -> Tree:
 
 
 def format_tree(t: Tree) -> str:
-    label = "_" if t.label is None else str(t.label)
-    if not t.children:
-        return f"({label})"
-    return f"({label} {' '.join(format_tree(c) for c in t.children)})"
+    """The parenthesized form ``parse_tree`` reads, ``_`` for a None
+    label.  Walks an explicit stack of nodes and pending separators, so
+    any depth is safe."""
+    parts: list[str] = []
+    stack: list[Tree | str] = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        parts.append("(_" if item.label is None else "(" + str(item.label))
+        stack.append(")")
+        for child in reversed(item.children):
+            stack += (child, " ")
+    return "".join(parts)

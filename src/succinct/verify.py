@@ -249,7 +249,7 @@ class ScriptRunner:
     def _check_invariants(self, op) -> None:
         if dflatten(self.tree) != self.flat:
             raise VerifyError(f"step {self.steps} {op}: contents diverged from the oracle")
-        if not wf_check(self.tree, self.bounds, relaxed=True):
+        if not wf_check(self.tree, self.bounds):
             raise VerifyError(f"step {self.steps} {op}: well-formedness lost")
         if redblack_check(self.tree) is None:
             raise VerifyError(f"step {self.steps} {op}: red-black invariant lost")

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from samples import LOUDS21_TEXT, TREE10_TEXT, del_borrow_sample
@@ -204,6 +209,20 @@ class TestDbvRun:
         path.write_text("rank 4\n")
         code, out, _ = run(capsys, "dbv-run", str(path), "--init", "1101", "--bounds", "8,32")
         assert (code, out.strip()) == (0, "3")
+
+    def test_init_and_init_tree_are_exclusive(self, tmp_path):
+        script = tmp_path / "s.txt"
+        script.write_text("rank 1\n")
+        init = tmp_path / "init.txt"
+        init.write_text('(leaf "1")')
+        argv = ["dbv-run", str(script), "--init", "0", "--init-tree", str(init)]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "succinct.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert "not allowed with argument" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_verified_random_script(self, capsys, tmp_path):
         import random

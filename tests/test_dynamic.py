@@ -9,15 +9,14 @@ from samples import DBV40_FLAT, DEL_BOUNDS, dbv_sample, del_borrow_sample, del_m
 from succinct import (
     BLACK,
     RED,
+    BitVector,
     Color,
-    Deleted,
     DynamicBitVector,
     Leaf,
     Node,
     SizeBounds,
     daccess,
     dclear,
-    ddel,
     ddelete,
     dflatten,
     dinsert,
@@ -28,7 +27,6 @@ from succinct import (
     dsize,
     dump,
     from_bits,
-    is_deleted_redblack,
     parse_bits,
     parse_dump,
     redblack_check,
@@ -36,7 +34,7 @@ from succinct import (
     wf_check,
 )
 import succinct.dynamic as dynamic_mod
-from succinct.dynamic import _dins, _measure, balance_left_deleted, balance_right_deleted
+from succinct.dynamic import _ddel, _dins, _fix_left_short, _fix_right_short, _measure
 from succinct.oracle import delete_at, insert1, oracle_rank, oracle_select, update_at
 
 BOUNDS = SizeBounds(8, 32)
@@ -45,7 +43,7 @@ b = parse_bits
 
 def check_state(t, flat, bounds):
     assert dflatten(t) == flat
-    assert wf_check(t, bounds, relaxed=True)
+    assert wf_check(t, bounds)
     assert redblack_check(t) is not None
 
 
@@ -62,7 +60,7 @@ class TestFlattenAndQueries:
             bits = [rng.randint(0, 1) for _ in range(rng.randint(0, 120))]
             t = from_bits(bits, BOUNDS)
             assert dflatten(t) == bits
-            assert wf_check(t, BOUNDS, relaxed=True)
+            assert wf_check(t, BOUNDS)
             assert redblack_check(t) is not None
 
     def test_drank_samples(self):
@@ -115,28 +113,31 @@ class TestWellFormedness:
         corrupt = Node(t.color, t.left, t.num, t.ones - 1, t.right)
         assert not wf_check(corrupt, SizeBounds(8, 17))
 
-    def test_relaxed_admits_small_root_leaf(self):
-        assert wf_check(Leaf.of([1]), BOUNDS, relaxed=True)
-        assert not wf_check(Leaf.of([1]), BOUNDS)
+    def test_admits_small_root_leaf(self):
+        assert wf_check(Leaf.of([1]), BOUNDS)
+        assert wf_check(Leaf.of([]), BOUNDS)
+        assert not wf_check(Leaf.of([0] * BOUNDS.high), BOUNDS)
 
-    def test_strict_implies_relaxed_and_relaxed_implies_zero_low(self):
+    def test_only_a_root_leaf_may_be_short(self):
+        short, full = Leaf.of([1]), Leaf.of([0] * BOUNDS.low)
+        assert wf_check(Node(BLACK, full, BOUNDS.low, 0, full), BOUNDS)
+        assert not wf_check(Node(BLACK, short, 1, 1, full), BOUNDS)
+        assert not wf_check(Node(BLACK, full, BOUNDS.low, 0, short), BOUNDS)
         rng = random.Random(17)
         for _ in range(50):
             bits = [rng.randint(0, 1) for _ in range(rng.randint(0, 80))]
             t = from_bits(bits, BOUNDS)
-            if wf_check(t, BOUNDS):
-                assert wf_check(t, BOUNDS, relaxed=True)
-            if wf_check(t, BOUNDS, relaxed=True):
-                # relaxed well-formedness is full well-formedness with the
-                # lower leaf bound dropped to zero
-                assert _measure(t, 0, BOUNDS.high)[0]
+            assert wf_check(t, BOUNDS)
+            # below a node every leaf keeps the full window
+            low = 0 if isinstance(t, Leaf) else BOUNDS.low
+            assert _measure(t, low, BOUNDS.high)[0]
 
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
             SizeBounds(0, 10)
         with pytest.raises(ValueError):
             SizeBounds(8, 15)
-        assert SizeBounds.from_w(8) == SizeBounds(32, 128, 8)
+        assert SizeBounds.from_w(8) == SizeBounds(32, 128)
 
 
 class TestRedblackCheck:
@@ -325,11 +326,15 @@ class TestDeletedBalance:
     accounting across every rotation case."""
 
     def test_no_down_builds_plain_node(self):
-        left = Deleted(Leaf.of(b("1010")), False, (1, 0))
-        right = Leaf.of(b("0011"))
-        out = balance_left_deleted(BLACK, left, 4, 2, right)
-        assert out.tree == Node(BLACK, Leaf.of(b("1010")), 4, 2, Leaf.of(b("0011")))
-        assert not out.down and out.deleted == (1, 0)
+        # the left leaf keeps more than low bits, so nothing drops and the
+        # black root is rebuilt as a plain node over the new left subtree
+        inner = Node(RED, Leaf.of(b("1010")), 4, 2, Leaf.of(b("0011")))
+        t = Node(BLACK, inner, 8, 4, Leaf.of(b("1111")))
+        tree, down, bit = _ddel(t, 0, 3)
+        assert tree == Node(
+            BLACK, Node(RED, Leaf.of(b("010")), 3, 1, Leaf.of(b("0011"))), 7, 3, Leaf.of(b("1111"))
+        )
+        assert (down, bit) == (False, 1)
 
     @pytest.mark.parametrize("parent_color", [RED, BLACK])
     def test_left_short_cases(self, parent_color):
@@ -343,16 +348,16 @@ class TestDeletedBalance:
             else:
                 short = _random_redblack(rng, bh - 1, RED, low, high)
                 sibling = _random_redblack(rng, bh, BLACK, low, high)
-            deleted = Deleted(short, True, (1, 1))
             num, ones = dsize(short), dflatten(short).count(1)
-            out = balance_left_deleted(parent_color, deleted, num, ones, sibling)
-            assert dflatten(out.tree) == dflatten(short) + dflatten(sibling)
+            tree, down = _fix_left_short(parent_color, short, num, ones, sibling)
+            assert dflatten(tree) == dflatten(short) + dflatten(sibling)
             # a black node's rebuild stays valid in any context; a red
-            # node's rebuild is valid under its (black) parent
+            # node's rebuild is valid under its (black) parent; a drop
+            # leaves a tree one black level shorter, valid under red
             expected_bh = bh + (1 if parent_color is BLACK else 0)
             context = RED if parent_color is BLACK else BLACK
-            assert is_deleted_redblack(out, context, expected_bh)
-            assert wf_check(out.tree, SizeBounds(low, high))
+            assert redblack_check(tree, RED if down else context) == expected_bh - down
+            assert wf_check(tree, SizeBounds(low, high))
 
     @pytest.mark.parametrize("parent_color", [RED, BLACK])
     def test_right_short_cases(self, parent_color):
@@ -363,21 +368,18 @@ class TestDeletedBalance:
             context = RED if parent_color is RED else BLACK
             sibling = _random_redblack(rng, bh, context, low, high)
             short = _random_redblack(rng, bh - 1, RED, low, high)
-            deleted = Deleted(short, True, (1, 0))
             num, ones = dsize(sibling), dflatten(sibling).count(1)
-            out = balance_right_deleted(parent_color, sibling, num, ones, deleted)
-            assert dflatten(out.tree) == dflatten(sibling) + dflatten(short)
+            tree, down = _fix_right_short(parent_color, sibling, num, ones, short)
+            assert dflatten(tree) == dflatten(sibling) + dflatten(short)
             expected_bh = bh + (1 if parent_color is BLACK else 0)
             context = RED if parent_color is BLACK else BLACK
-            assert is_deleted_redblack(out, context, expected_bh)
-            assert wf_check(out.tree, SizeBounds(low, high))
+            assert redblack_check(tree, RED if down else context) == expected_bh - down
+            assert wf_check(tree, SizeBounds(low, high))
 
     def test_ddel_reports_deleted_bit(self):
         t = from_bits(b("10110"), SizeBounds(2, 4))
-        out = ddel(t, 2, SizeBounds(2, 4))
-        assert out.deleted == (1, 1)
-        out = ddel(t, 1, SizeBounds(2, 4))
-        assert out.deleted == (1, 0)
+        assert _ddel(t, 2, 2)[2] == 1
+        assert _ddel(t, 1, 2)[2] == 0
 
 
 class TestDepthBound:
@@ -434,6 +436,18 @@ class TestDumpFormat:
         assert parse_dump('(leaf "01 1")') == Leaf.of([0, 1, 1])
         assert parse_dump("(leaf)") == Leaf.of([])
 
+    def test_deep_dump_round_trips(self):
+        # deeper than the default recursion limit; dump indents every level
+        # by two more spaces, so its text grows with the square of the depth
+        depth = 1200
+        fixture = '(Black num=1 ones=1 (leaf "1") ' * depth + '(leaf "1")' + ")" * depth
+        text = "\n".join(
+            [f'{"  " * d}(Black num=1 ones=1\n{"  " * (d + 1)}(leaf "1")' for d in range(depth)]
+            + ["  " * depth + '(leaf "1")' + ")" * depth]
+        )
+        assert dump(parse_dump(fixture)) == text
+        assert dump(parse_dump(text)) == text
+
     def test_ten_thousand_deep_dump_parses_and_checks(self):
         depth = 10_000
         text = '(Black num=1 ones=1 (leaf "1") ' * depth + '(leaf "1")' + ")" * depth
@@ -466,7 +480,7 @@ class TestFacade:
 
     def test_default_bounds_follow_word_parameter(self):
         vec = DynamicBitVector()
-        assert (vec.bounds.low, vec.bounds.high, vec.bounds.w) == (2048, 8192, 64)
+        assert vec.bounds == SizeBounds(2048, 8192) == SizeBounds.from_w(64)
 
 
 @st.composite
@@ -537,7 +551,7 @@ def test_packed_queries_match_oracle(case):
 def test_packed_updates_match_oracle(case, bit):
     t, flat = case
     n = len(flat)
-    well_formed = wf_check(t, EDGE_BOUNDS, relaxed=True)
+    well_formed = wf_check(t, EDGE_BOUNDS)
     results = []
     for i in {0, n // 2, n}:
         results.append((dinsert(t, bit, i, EDGE_BOUNDS), insert1(flat, bit, i)))
@@ -573,8 +587,9 @@ def test_bulk_build_every_size(bounds, monkeypatch):
         bits = [rng.randint(0, 1) for _ in range(n)]
         t = from_bits(bits, bounds)
         assert dflatten(t) == bits
-        assert wf_check(t, bounds, relaxed=True)
-        assert wf_check(t, bounds) == (n >= bounds.low)
+        assert wf_check(t, bounds)
+        # strictly well-formed, every leaf in the window, exactly when n >= low
+        assert (isinstance(t, Node) or t.length >= bounds.low) == (n >= bounds.low)
         assert redblack_check(t) is not None
         nodes = _levels(t)
         sizes = [node.length for _, node in nodes if isinstance(node, Leaf)]
@@ -600,5 +615,37 @@ def test_leaf_is_a_hashable_frozen_value():
 
 
 def test_wf_check_rejects_stray_word_bits():
-    assert not wf_check(Leaf(0b1101, 3), BOUNDS, relaxed=True)
-    assert not wf_check(Leaf(-1, 3), BOUNDS, relaxed=True)
+    assert not wf_check(Leaf(0b1101, 3), BOUNDS)
+    assert not wf_check(Leaf(-1, 3), BOUNDS)
+
+
+class TestBitRule:
+    """Every entry point takes the bits BitVector takes: ints equal to 0
+    or 1, bools included, and rejects anything else."""
+
+    @pytest.mark.parametrize("bad", [[2], [1, 0, 3], [0, -1]])
+    def test_bulk_entry_points_reject_other_values(self, bad):
+        with pytest.raises(ValueError):
+            BitVector(bad)
+        with pytest.raises(ValueError):
+            Leaf.of(bad)
+        with pytest.raises(ValueError):
+            from_bits(bad, BOUNDS)
+        with pytest.raises(ValueError):
+            DynamicBitVector(bad, bounds=BOUNDS)
+
+    @pytest.mark.parametrize("bad", [2, -1, 1.0, "1", None])
+    def test_dinsert_rejects_other_values(self, bad):
+        with pytest.raises(ValueError):
+            dinsert(Leaf.of([1]), bad, 0, BOUNDS)
+        with pytest.raises(ValueError):
+            DynamicBitVector([1], bounds=BOUNDS).insert(1, bad)
+
+    def test_bools_are_bits(self):
+        bits = [True, False, True, True]
+        assert list(BitVector(bits)) == [1, 0, 1, 1]
+        assert Leaf.of(bits) == Leaf.of([1, 0, 1, 1])
+        assert from_bits(bits, SizeBounds(1, 2)) == from_bits([1, 0, 1, 1], SizeBounds(1, 2))
+        assert DynamicBitVector(bits, bounds=BOUNDS).to_bits() == [1, 0, 1, 1]
+        t = dinsert(dinsert(Leaf.of([0]), True, 1, BOUNDS), False, 0, BOUNDS)
+        assert t == Leaf.of([0, 0, 1])

@@ -293,6 +293,21 @@ class TestTreeText:
             relabeled = parse_tree(format_tree(t))
             assert bfs_queue(relabeled) == [str(x) for x in bfs_queue(t)]
 
+    def test_format_roundtrip_on_deep_chain(self):
+        n = 10**5
+        t = Tree(str(n - 1))
+        for label in range(n - 2, -1, -1):
+            t = Tree(str(label), (t,))
+        text = format_tree(t)
+        assert text == "".join(f"({k} " for k in range(n - 1)) + f"({n - 1})" + ")" * (n - 1)
+        # Tree equality recurses once per level, so compare level by level
+        got, want = parse_tree(text), t
+        while True:
+            assert (got.label, len(got.children)) == (want.label, len(want.children))
+            if not want.children:
+                break
+            got, want = got.children[0], want.children[0]
+
     @pytest.mark.parametrize(
         "text,line,column",
         [
