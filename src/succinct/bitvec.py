@@ -20,9 +20,9 @@ The index conventions are load-bearing (the navigation formulas in
   rank and select.
 
 The free functions are the specification and scan the sequence, so
-each costs O(n).  ``BitVector`` answers rank and select with the same
-conventions from packed 64-bit words and a directory of 1-counts:
-rank in O(1), select in O(log n).
+each costs O(n).  ``BitVector`` answers all four with the same conventions
+from packed 64-bit words and a directory of 1- and 0-counts, 16 bytes per
+64 bits: O(1) rank, key-free select, succ and pred mostly in one word.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ _TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
 # (width, mask) of the halving steps that locate a bit within a word
 _HALVES = tuple((w, (1 << w) - 1) for w in (32, 16, 8, 4, 2, 1))
+_WORD = (1 << 64) - 1  # word ^ _WORD flips all 64 bits, padding included
 
 
 def parse_bits(text: str) -> list[int]:
@@ -115,9 +116,9 @@ def _ascii_bits(bits: BitSeq) -> bytes:
     return raw.translate(_TO_ASCII)
 
 
-def _frozen_words(values) -> memoryview:
-    """Read-only sequence of unsigned 64-bit ints."""
-    return memoryview(array("Q", values).tobytes()).cast("Q")
+def _frozen(code: str, values) -> memoryview:
+    """Read-only sequence of unsigned ints of array typecode ``code``."""
+    return memoryview(array(code, values).tobytes()).cast(code)
 
 
 def _word_select(word: int, r: int) -> int:
@@ -134,26 +135,29 @@ def _word_select(word: int, r: int) -> int:
 class BitVector:
     """Immutable bit sequence with a rank/select directory.
 
-    Bit j is bit j % 64 of word j // 64, and the directory holds the
-    number of 1s before each word: the counts of rank9 (Vigna,
-    *Broadword Implementation of Rank/Select Queries*, 2008), kept
-    absolute per word instead of split into superblocks.  ``rank`` is
-    one directory lookup plus ``int.bit_count`` of one masked word;
-    ``select`` bisects the directory, reading the 0-count before word k
-    as 64k minus its 1-count, then halves its way into one word.  Both
-    answer exactly like the free ``rank`` and ``select``.  Words and
-    directory take 16 bytes per 64 bits.
+    Bit j is bit j % 64 of word j // 64.  The directory holds the 1-count
+    before each word k = 0..m, then the 0-count before each word (the
+    last is len - ones, so the final word's padding is never selected):
+    the counts of rank9 (Vigna, *Broadword Implementation of Rank/Select
+    Queries*, 2008), absolute per word, 32-bit below 2**32 bits.  ``rank``
+    is one lookup plus ``int.bit_count`` of one masked word; ``select``
+    is a C-level ``bisect_left`` over one half, then halves into a word;
+    ``succ`` and ``pred`` look in the word holding their index first.
+    All answer exactly like the free functions.  Words and directory
+    take 16 bytes per 64 bits.
     """
 
-    __slots__ = ("_len", "_words", "_ones")
+    __slots__ = ("_len", "_words", "_dir")
 
     def __init__(self, bits: BitSeq):
         text = _ascii_bits(bits)
-        words = [int(text[k : k + 64][::-1], 2) for k in range(0, len(text), 64)]
-        object.__setattr__(self, "_len", len(text))
-        object.__setattr__(self, "_words", _frozen_words(words))
-        ones = accumulate((w.bit_count() for w in words), initial=0)
-        object.__setattr__(self, "_ones", _frozen_words(ones))
+        n = len(text)
+        words = [int(text[k : k + 64][::-1], 2) for k in range(0, n, 64)]
+        ones = list(accumulate((w.bit_count() for w in words), initial=0))
+        zeros = [(k << 6) - c for k, c in enumerate(ones[:-1])] + [n - ones[-1]]
+        object.__setattr__(self, "_len", n)
+        object.__setattr__(self, "_words", _frozen("Q", words))
+        object.__setattr__(self, "_dir", _frozen("I" if n < 1 << 32 else "Q", ones + zeros))
 
     def __setattr__(self, name, value):
         raise AttributeError("BitVector is immutable")
@@ -189,7 +193,7 @@ class BitVector:
             raise ValueError("prefix length must be non-negative")
         i = min(i, self._len)
         k, r = i >> 6, i & 63
-        ones = self._ones[k]
+        ones = self._dir[k]
         if r:
             ones += (self._words[k] & ((1 << r) - 1)).bit_count()
         return ones if b == 1 else i - ones
@@ -201,15 +205,37 @@ class BitVector:
             raise ValueError("occurrence ordinal must be non-negative")
         if i == 0:
             return 0
-        ones = self._ones
-        if b == 1:
-            if i > ones[-1]:
-                return self._len + 1
-            k = bisect_left(ones, i) - 1
-            before, word = ones[k], self._words[k]
-        else:
-            if i > self._len - ones[-1]:
-                return self._len + 1
-            k = bisect_left(range(len(ones)), i, key=lambda k: (k << 6) - ones[k]) - 1
-            before, word = (k << 6) - ones[k], ~self._words[k]
-        return (k << 6) + _word_select(word, i - before) + 1
+        counts = self._dir
+        half = len(counts) >> 1
+        lo = 0 if b == 1 else half
+        if i > counts[lo + half - 1]:
+            return self._len + 1
+        k = bisect_left(counts, i, lo, lo + half) - 1
+        word = self._words[k - lo]
+        return ((k - lo) << 6) + _word_select(word if b == 1 else ~word, i - counts[k]) + 1
+
+    def succ(self, b: Bit, y: int) -> int:
+        """1-based position of the first b at or after 1-based index y;
+        len + 1 if none."""
+        if y < 1:
+            raise ValueError("succ indexes from 1")
+        j = y - 1
+        if j < self._len:
+            word = self._words[j >> 6]
+            rest = (word if b == 1 else word ^ _WORD) >> (j & 63)
+            if rest:  # a 0 found in the final word's padding means none
+                return min(j + (rest & -rest).bit_length(), self._len + 1)
+        return self.select(b, self.rank(b, j) + 1)
+
+    def pred(self, b: Bit, y: int) -> int:
+        """1-based position of the last b at or before 1-based index y;
+        0 if none."""
+        if y < 1:
+            raise ValueError("pred indexes from 1")
+        j = min(y, self._len) - 1
+        if j >= 0:
+            word = self._words[j >> 6]
+            below = (word if b == 1 else word ^ _WORD) & ((2 << (j & 63)) - 1)
+            if below:
+                return (j & ~63) + below.bit_length()
+        return self.select(b, self.rank(b, y))

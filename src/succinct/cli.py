@@ -102,14 +102,18 @@ def _fail(message: str, code: int) -> int:
 
 
 def _read_file(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    """The text of a UTF-8 file; ValueError when it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text: {e}") from None
 
 
 def _cmd_louds_build(args) -> int:
     try:
         text = _read_file(args.tree_file)
-    except OSError as e:
+    except (OSError, ValueError) as e:
         return _fail(str(e), 2)
     if not text.strip():
         return _fail(f"{args.tree_file}: empty input", 2)
@@ -164,7 +168,7 @@ def _verify_query(args, result: int) -> int:
     """Re-derive the query on the inductive tree and compare."""
     try:
         tree = parse_tree(_read_file(args.verify))
-    except (OSError, TreeParseError) as e:
+    except (OSError, ValueError) as e:
         return _fail(str(e), 2)
     if args.super_root:
         tree = with_super_root(tree)
@@ -193,10 +197,10 @@ def _verify_query(args, result: int) -> int:
 def _cmd_dbv_run(args) -> int:
     try:
         steps = parse_script(_read_file(args.script))
-    except OSError as e:
-        return _fail(str(e), 2)
     except ScriptError as e:
         return _fail(f"{args.script}: {e}", 2)
+    except (OSError, ValueError) as e:
+        return _fail(str(e), 2)
     bounds = args.bounds if args.bounds is not None else SizeBounds.from_w(64)
     try:
         if args.init_tree is not None:

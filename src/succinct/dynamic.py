@@ -21,6 +21,7 @@ exactly that, against the naive implementations in ``oracle``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -653,28 +654,17 @@ def dump(t: DTree) -> str:
     return "\n".join(lines)
 
 
+# one token after optional whitespace: a parenthesis, a quoted string
+# (group 3 empty when unterminated) or an atom
+_SEXPR_TOKEN = re.compile(r'\s*(?:([()])|"([^"]*)("?)|([^\s()"]+))')
+
+
 def _scan_sexpr(text: str) -> list[tuple[str, str]]:
     tokens: list[tuple[str, str]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append((ch, ch))
-            i += 1
-        elif ch == '"':
-            end = text.find('"', i + 1)
-            if end < 0:
-                raise ValueError("unterminated string in tree dump")
-            tokens.append(("str", text[i + 1 : end]))
-            i = end + 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in '()"':
-                j += 1
-            tokens.append(("atom", text[i:j]))
-            i = j
+    for paren, string, closed, atom in _SEXPR_TOKEN.findall(text):
+        if not (paren or atom or closed):
+            raise ValueError("unterminated string in tree dump")
+        tokens.append((paren, paren) if paren else ("atom", atom) if atom else ("str", string))
     return tokens
 
 

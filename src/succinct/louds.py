@@ -12,8 +12,8 @@ arithmetic on the bit sequence; ``bitvec`` documents the index
 conventions the formulas rely on.  The module-level ``louds_children``,
 ``louds_child`` and ``louds_parent`` are the raw total formulas over
 the free, O(n) ``rank``/``select``.  ``Louds`` keeps the bits in a
-``BitVector`` and applies the same formulas to its directory, so each
-step costs O(log n) whatever the tree, and validates positions.
+``BitVector``, applies the same formulas with its methods (a few word
+operations or one O(log n) bisection a step) and validates positions.
 
 ``louds_encode`` is one breadth-first pass over a queue; the recursive
 ``level_traversal``/``mzip`` and the other traversal formulations stay
@@ -67,15 +67,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tree:
-    """Arbitrarily-branching ordered tree; a leaf has no children."""
+    """Arbitrarily-branching ordered tree; a leaf has no children.  Equal
+    and hashed by the level-order (label, child count) list, no recursion."""
 
     label: Any = None
     children: tuple["Tree", ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
+
+    def _shape(self) -> tuple[tuple[Any, int], ...]:
+        queue = [self]
+        for node in queue:  # the loop walks the queue while it grows
+            queue += node.children
+        return tuple((node.label, len(node.children)) for node in queue)
+
+    def __eq__(self, other):
+        return self._shape() == other._shape() if isinstance(other, Tree) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._shape())
 
 
 Forest = Sequence[Tree]
@@ -99,13 +112,7 @@ def height(t: Tree) -> int:
 
 
 def number_of_nodes(t: Tree) -> int:
-    count = 0
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        count += 1
-        stack.extend(node.children)
-    return count
+    return len(t._shape())
 
 
 def lo_traversal(f_map: Callable[[Tree], Any], t: Tree) -> list:
@@ -164,8 +171,9 @@ def louds_encode(t: Tree) -> list[int]:
     bits: list[int] = []
     queue = [t]
     for node in queue:  # the loop walks the queue while it grows
-        queue.extend(node.children)
-        bits.extend(children_description(node))
+        queue += (kids := node.children)
+        bits += [1] * len(kids)
+        bits.append(0)
     return bits
 
 
@@ -272,7 +280,7 @@ class Louds:
 
     Built from a ``BitVector`` or any bit sequence; the bits are kept
     only in the vector.  Navigation uses the raw formulas above with
-    ``BitVector.rank``/``select`` in place of the free functions.  The
+    the vector's rank/select/succ/pred in place of the free functions.  The
     raw formulas are total and answer garbage for bit indices that do
     not start a node description; this wrapper rejects those loudly
     instead.
@@ -308,8 +316,7 @@ class Louds:
             raise ValueError(f"{v} is not a node position in this encoding")
 
     def _children(self, v: int) -> int:
-        vec = self.vector
-        return vec.select(0, vec.rank(0, v) + 1) - (v + 1)
+        return self.vector.succ(0, v + 1) - (v + 1)
 
     def children(self, v: int) -> int:
         self._require_position(v)
@@ -328,8 +335,7 @@ class Louds:
         if v == 0:
             raise ValueError("the root has no parent")
         vec = self.vector
-        j = vec.select(1, vec.rank(0, v))
-        return vec.select(0, vec.rank(0, j))
+        return vec.pred(0, vec.select(1, vec.rank(0, v)))
 
 
 class TreeParseError(ValueError):

@@ -203,6 +203,9 @@ class TestBitVector:
             for i in range(len(s) + 3):
                 assert index.rank(b, i) == oracle_rank(b, i, s), (b, i)
                 assert index.select(b, i) == oracle_select(b, i, s), (b, i)
+            for y in range(1, len(s) + 4):
+                assert index.succ(b, y) == succ(b, s, y), (b, y)
+                assert index.pred(b, y) == pred(b, s, y), (b, y)
         return index
 
     @given(edge_lists)
@@ -260,6 +263,28 @@ class TestBitVector:
             BitVector([1, 0])[2]
         with pytest.raises(ValueError):
             BitVector([1]).select(1, -1)
+        for method in (BitVector([0]).succ, BitVector([0]).pred):
+            with pytest.raises(ValueError):
+                method(0, 0)
+
+    def test_succ_pred_past_sparse_words(self):
+        # the answer lies several words away from the word holding y
+        s = [0] * 300
+        s[5] = s[290] = 1
+        index = BitVector(s)
+        assert index.succ(1, 7) == 291
+        assert index.pred(1, 289) == 6
+        assert index.succ(1, 292) == 301
+        assert index.pred(1, 5) == 0
+        assert index.succ(0, 6) == 7 and index.pred(0, 291) == 290
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 1000, 4096, 10**5 + 3])
+    def test_space_is_sixteen_bytes_per_word(self, n):
+        # 8 bytes per word plus a 1-count and a 0-count of 4 bytes for
+        # each of the m words and one past the end
+        index = BitVector([1, 0, 0] * (n // 3) + [1] * (n % 3))
+        m = -(-n // 64)
+        assert index._words.nbytes + index._dir.nbytes == 16 * m + 8
 
 
 class TestAsciiFormat:

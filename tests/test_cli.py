@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from samples import LOUDS21_TEXT, TREE10_TEXT, del_borrow_sample
 from succinct import dump, number_of_nodes
@@ -339,6 +340,74 @@ class TestDbvRun:
         runner = ScriptRunner(SizeBounds(8, 32), verify=False)
         assert runner.run(ops) == expected
         assert runner.flat is None
+
+
+NOT_UTF8 = b"\xff\xfe(a)"
+
+
+class TestUnreadableInput:
+    """Every path that reads a file reports a non-UTF-8 file as a usage
+    error (exit 2) instead of a traceback."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(NOT_UTF8)
+        script = tmp_path / "s.txt"
+        script.write_text("rank 0\n")
+        return str(bad), str(script)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["louds-build", "{bad}"],
+            ["louds-query", "children", "0", "--pos", "0", "--verify", "{bad}"],
+            ["louds-query", "children", "--bits-file", "{bad}", "--pos", "0"],
+            ["dbv-run", "{bad}"],
+            ["dbv-run", "{script}", "--init-tree", "{bad}"],
+        ],
+        ids=["louds-build", "louds-query-verify", "louds-query-bits-file", "dbv-run-script",
+             "dbv-run-init-tree"],
+    )
+    def test_non_utf8_file_exits_2(self, capsys, files, argv):
+        bad, script = files
+        code, out, err = run(capsys, *(a.format(bad=bad, script=script) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "UTF-8" in err
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.binary(max_size=120))
+def test_arbitrary_bytes_never_crash_the_cli(capsys, tmp_path, data):
+    """Arbitrary bytes as the tree file, the script file, the --init-tree
+    dump and the louds-query bit string: exit 0, 1 or 2, no traceback."""
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    script = tmp_path / "script"
+    script.write_text("rank 0\nselect1 1\n")
+    # latin-1 maps every byte to a character; a real command line would
+    # carry surrogates, which the process's stderr escapes but the capture
+    # here would refuse to encode
+    text = data.decode("latin-1")
+    for argv in (
+        ["louds-build", str(path)],
+        ["louds-query", "parent", "1011000", "--pos", "4", "--verify", str(path)],
+        ["dbv-run", str(path), "--bounds", "2,8"],
+        ["dbv-run", str(script), "--init-tree", str(path), "--bounds", "1,8"],
+        ["louds-query", "children", text, "--pos", "0"],
+        ["louds-query", "child", "--pos", "2", "--index", "0", "--", text],
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse rejects the command line
+            code = e.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
 
 
 class TestVerifyCommand:

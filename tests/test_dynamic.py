@@ -439,7 +439,7 @@ class TestDumpFormat:
     def test_deep_dump_round_trips(self):
         # deeper than the default recursion limit; dump indents every level
         # by two more spaces, so its text grows with the square of the depth
-        depth = 1200
+        depth = 3000
         fixture = '(Black num=1 ones=1 (leaf "1") ' * depth + '(leaf "1")' + ")" * depth
         text = "\n".join(
             [f'{"  " * d}(Black num=1 ones=1\n{"  " * (d + 1)}(leaf "1")' for d in range(depth)]

@@ -263,6 +263,36 @@ class TestCheckedLayer:
         with pytest.raises(AttributeError):
             nav.bits = (0,)
 
+    @pytest.mark.parametrize("seed,n", [(1, 200), (2, 777), (3, 2000)])
+    def test_matches_formulas_and_paths_on_many_words(self, seed, n):
+        # every node of a tree spanning many 64-bit words; positions come
+        # from the breadth-first queue, cross-checked on a sample against
+        # the path definition louds_position
+        rng = random.Random(seed)
+        t = random_tree(rng, exact=n)
+        bits = louds_encode(t)
+        nav = Louds(bits)
+        queue, paths, parent = [t], [[]], [None]
+        for k, node in enumerate(queue):
+            for i, c in enumerate(node.children):
+                queue.append(c)
+                paths.append(paths[k] + [i])
+                parent.append(k)
+        pos = [0]
+        for node in queue[:-1]:
+            pos.append(pos[-1] + len(node.children) + 1)
+        first_child = 1
+        for k, node in enumerate(queue):
+            v, deg = pos[k], len(node.children)
+            assert nav.children(v) == louds_children(bits, v) == deg
+            for i in range(deg):
+                assert nav.child(v, i) == louds_child(bits, v, i) == pos[first_child + i]
+            first_child += deg
+            if k:
+                assert nav.parent(v) == louds_parent(bits, v) == pos[parent[k]]
+        for k in rng.sample(range(n), 20):
+            assert louds_position([t], paths[k]) == pos[k]
+
     def test_deep_chain_encodes_without_recursion(self):
         n = 10**4
         t = Tree(n - 1)
@@ -300,13 +330,10 @@ class TestTreeText:
             t = Tree(str(label), (t,))
         text = format_tree(t)
         assert text == "".join(f"({k} " for k in range(n - 1)) + f"({n - 1})" + ")" * (n - 1)
-        # Tree equality recurses once per level, so compare level by level
-        got, want = parse_tree(text), t
-        while True:
-            assert (got.label, len(got.children)) == (want.label, len(want.children))
-            if not want.children:
-                break
-            got, want = got.children[0], want.children[0]
+        got = parse_tree(text)
+        assert got == t
+        assert hash(got) == hash(t)
+        assert got != Tree("0", (Tree("1"),))
 
     @pytest.mark.parametrize(
         "text,line,column",
