@@ -13,7 +13,15 @@ import time
 from random import Random
 
 from .bitvec import format_bits, parse_bits
-from .dynamic import SizeBounds, dump, from_bits, parse_dump, redblack_check, wf_check
+from .dynamic import (
+    DEFAULT_BOUNDS,
+    SizeBounds,
+    dump,
+    from_bits,
+    parse_dump,
+    redblack_check,
+    wf_check,
+)
 from .louds import (
     Louds,
     TreeParseError,
@@ -24,6 +32,7 @@ from .louds import (
 )
 from .oracle import tree_navigate
 from .verify import (
+    OPS,
     ScriptRunner,
     VerifyError,
     check_encoding,
@@ -32,18 +41,6 @@ from .verify import (
     random_script,
     random_tree,
 )
-
-_SCRIPT_ARITY = {
-    "insert": 2,
-    "delete": 1,
-    "set": 1,
-    "clear": 1,
-    "rank": 1,
-    "select0": 1,
-    "select1": 1,
-    "access": 1,
-}
-
 
 class ScriptError(ValueError):
     def __init__(self, lineno: int, message: str):
@@ -62,10 +59,10 @@ def parse_script(text: str) -> list[tuple[int, tuple]]:
             continue
         parts = body.split()
         name, rest = parts[0], parts[1:]
-        if name not in _SCRIPT_ARITY:
+        if name not in OPS:
             raise ScriptError(lineno, f"unknown op {name!r}")
-        if len(rest) != _SCRIPT_ARITY[name]:
-            raise ScriptError(lineno, f"{name} takes {_SCRIPT_ARITY[name]} argument(s)")
+        if len(rest) != OPS[name]:
+            raise ScriptError(lineno, f"{name} takes {OPS[name]} argument(s)")
         try:
             nums = [int(x) for x in rest]
         except ValueError:
@@ -201,7 +198,7 @@ def _cmd_dbv_run(args) -> int:
         return _fail(f"{args.script}: {e}", 2)
     except (OSError, ValueError) as e:
         return _fail(str(e), 2)
-    bounds = args.bounds if args.bounds is not None else SizeBounds.from_w(64)
+    bounds = args.bounds if args.bounds is not None else DEFAULT_BOUNDS
     try:
         if args.init_tree is not None:
             tree = parse_dump(_read_file(args.init_tree))
@@ -249,9 +246,15 @@ def _cmd_verify(args) -> int:
             check_encoding(tree)
             check_navigation(tree)
         print(f"louds: {args.trees} trees checked")
-        for _ in range(args.scripts):
-            runner = ScriptRunner(bounds, verify=True)
-            runner.run(random_script(rng, args.ops))
+        for k in range(args.scripts):
+            # odd-numbered scripts start from a bulk build, so its shapes
+            # (evenly filled leaves, a red last level) meet every repair
+            tree, size = None, 0
+            if k % 2:
+                size = rng.randint(0, 8 * bounds.high)
+                tree = from_bits([rng.getrandbits(1) for _ in range(size)], bounds)
+            runner = ScriptRunner(bounds, verify=True, tree=tree)
+            runner.run(random_script(rng, args.ops, size))
         print(f"dynamic: {args.scripts} scripts of {args.ops} ops checked")
     except VerifyError as e:
         return _fail(str(e), 1)

@@ -31,6 +31,7 @@ from .bitvec import _FROM_ASCII, _ascii_bits
 __all__ = [
     "BLACK",
     "Color",
+    "DEFAULT_BOUNDS",
     "DTree",
     "DynamicBitVector",
     "Leaf",
@@ -113,6 +114,10 @@ class SizeBounds:
         if w < 2:
             raise ValueError("w must be at least 2")
         return cls(w * w // 2, 2 * w * w)
+
+
+# the window of a 64-bit word: 2048 <= leaf length < 8192
+DEFAULT_BOUNDS = SizeBounds.from_w(64)
 
 
 # ---------------------------------------------------------------------------
@@ -320,50 +325,67 @@ def _ins_leaf(leaf: Leaf, b: int, i: int, bounds: SizeBounds) -> DTree:
     return grown
 
 
+def _lift_l(c: Color, l: Node, num: int, ones: int, r: DTree) -> Node | None:
+    """The red-red rotation on the left: when a grandchild under ``l`` is
+    red, the node of color c with two black children that it becomes,
+    else None.  num/ones describe ``l``.  The outer grandchild is tried
+    first; insertion never leaves both red, so its trees do not depend
+    on the order, and deletion shares the rotation (Kahrs, *Red-black
+    trees with types*, 2001)."""
+    ll, lr = l.left, l.right
+    if isinstance(ll, Node) and ll.color is RED:
+        return Node(
+            c,
+            Node(BLACK, ll.left, ll.num, ll.ones, ll.right),
+            l.num,
+            l.ones,
+            Node(BLACK, lr, num - l.num, ones - l.ones, r),
+        )
+    if isinstance(lr, Node) and lr.color is RED:
+        return Node(
+            c,
+            Node(BLACK, ll, l.num, l.ones, lr.left),
+            l.num + lr.num,
+            l.ones + lr.ones,
+            Node(BLACK, lr.right, num - l.num - lr.num, ones - l.ones - lr.ones, r),
+        )
+    return None
+
+
+def _lift_r(c: Color, l: DTree, num: int, ones: int, r: Node) -> Node | None:
+    """Mirror of _lift_l for a red grandchild under ``r``."""
+    rl, rr = r.left, r.right
+    if isinstance(rr, Node) and rr.color is RED:
+        return Node(
+            c,
+            Node(BLACK, l, num, ones, rl),
+            num + r.num,
+            ones + r.ones,
+            Node(BLACK, rr.left, rr.num, rr.ones, rr.right),
+        )
+    if isinstance(rl, Node) and rl.color is RED:
+        return Node(
+            c,
+            Node(BLACK, l, num, ones, rl.left),
+            num + rl.num,
+            ones + rl.ones,
+            Node(BLACK, rl.right, r.num - rl.num, r.ones - rl.ones, rr),
+        )
+    return None
+
+
 def _balance_l(c: Color, l: DTree, num: int, ones: int, r: DTree) -> DTree:
     """Okasaki rebalance after an insert in the left subtree; num/ones
     already describe the new left subtree."""
     if c is BLACK and isinstance(l, Node) and l.color is RED:
-        ll, lr = l.left, l.right
-        if isinstance(ll, Node) and ll.color is RED:
-            return Node(
-                RED,
-                Node(BLACK, ll.left, ll.num, ll.ones, ll.right),
-                l.num,
-                l.ones,
-                Node(BLACK, lr, num - l.num, ones - l.ones, r),
-            )
-        if isinstance(lr, Node) and lr.color is RED:
-            return Node(
-                RED,
-                Node(BLACK, ll, l.num, l.ones, lr.left),
-                l.num + lr.num,
-                l.ones + lr.ones,
-                Node(BLACK, lr.right, num - l.num - lr.num, ones - l.ones - lr.ones, r),
-            )
+        return _lift_l(RED, l, num, ones, r) or Node(c, l, num, ones, r)
     return Node(c, l, num, ones, r)
 
 
 def _balance_r(c: Color, l: DTree, num: int, ones: int, r: DTree) -> DTree:
     """Mirror of _balance_l for an insert in the right subtree."""
     if c is BLACK and isinstance(r, Node) and r.color is RED:
-        rl, rr = r.left, r.right
-        if isinstance(rl, Node) and rl.color is RED:
-            return Node(
-                RED,
-                Node(BLACK, l, num, ones, rl.left),
-                num + rl.num,
-                ones + rl.ones,
-                Node(BLACK, rl.right, r.num - rl.num, r.ones - rl.ones, rr),
-            )
-        if isinstance(rr, Node) and rr.color is RED:
-            return Node(
-                RED,
-                Node(BLACK, l, num, ones, rl),
-                num + r.num,
-                ones + r.ones,
-                Node(BLACK, rr.left, rr.num, rr.ones, rr.right),
-            )
+        return _lift_r(RED, l, num, ones, r) or Node(c, l, num, ones, r)
     return Node(c, l, num, ones, r)
 
 
@@ -448,7 +470,8 @@ def dclear(t: DTree, i: int) -> tuple[DTree, bool]:
 # the rebuilt subtree, whether its black height dropped by one, and the
 # removed bit, which each ancestor subtracts from its 1-count on the way
 # back up.  A drop in a deeper subtree is repaired by _fix_left_short /
-# _fix_right_short with the standard rotation / recoloring cases,
+# _fix_right_short: a red nephew takes insertion's rotation (_lift_l /
+# _lift_r) under the parent's color, otherwise the sibling is recolored,
 # rebuilding (num, ones) from existing metadata only.
 
 _Step = tuple[DTree, bool, int]
@@ -500,33 +523,10 @@ def _fix_left_short(c: Color, l: DTree, num: int, ones: int, r: Node) -> tuple[D
     sibling side).
     """
     if r.color is BLACK:
-        rl, rr = r.left, r.right
-        if isinstance(rr, Node) and rr.color is RED:
-            return (
-                Node(
-                    c,
-                    Node(BLACK, l, num, ones, rl),
-                    num + r.num,
-                    ones + r.ones,
-                    Node(BLACK, rr.left, rr.num, rr.ones, rr.right),
-                ),
-                False,
-            )
-        if isinstance(rl, Node) and rl.color is RED:
-            return (
-                Node(
-                    c,
-                    Node(BLACK, l, num, ones, rl.left),
-                    num + rl.num,
-                    ones + rl.ones,
-                    Node(BLACK, rl.right, r.num - rl.num, r.ones - rl.ones, rr),
-                ),
-                False,
-            )
-        return (
-            Node(BLACK, l, num, ones, Node(RED, rl, r.num, r.ones, rr)),
-            c is BLACK,
-        )
+        lifted = _lift_r(c, l, num, ones, r)
+        if lifted is not None:
+            return lifted, False
+        return Node(BLACK, l, num, ones, Node(RED, r.left, r.num, r.ones, r.right)), c is BLACK
     # red sibling: rotate it above and resolve under a red parent
     inner, down = _fix_left_short(RED, l, num, ones, r.left)
     return Node(BLACK, inner, num + r.num, ones + r.ones, r.right), down
@@ -535,33 +535,10 @@ def _fix_left_short(c: Color, l: DTree, num: int, ones: int, r: Node) -> tuple[D
 def _fix_right_short(c: Color, l: Node, num: int, ones: int, r: DTree) -> tuple[DTree, bool]:
     """Mirror of _fix_left_short for a right-side deficit."""
     if l.color is BLACK:
-        ll, lr = l.left, l.right
-        if isinstance(ll, Node) and ll.color is RED:
-            return (
-                Node(
-                    c,
-                    Node(BLACK, ll.left, ll.num, ll.ones, ll.right),
-                    l.num,
-                    l.ones,
-                    Node(BLACK, lr, num - l.num, ones - l.ones, r),
-                ),
-                False,
-            )
-        if isinstance(lr, Node) and lr.color is RED:
-            return (
-                Node(
-                    c,
-                    Node(BLACK, ll, l.num, l.ones, lr.left),
-                    l.num + lr.num,
-                    l.ones + lr.ones,
-                    Node(BLACK, lr.right, num - l.num - lr.num, ones - l.ones - lr.ones, r),
-                ),
-                False,
-            )
-        return (
-            Node(BLACK, Node(RED, ll, l.num, l.ones, lr), num, ones, r),
-            c is BLACK,
-        )
+        lifted = _lift_l(c, l, num, ones, r)
+        if lifted is not None:
+            return lifted, False
+        return Node(BLACK, Node(RED, l.left, l.num, l.ones, l.right), num, ones, r), c is BLACK
     inner, down = _fix_right_short(RED, l.right, num - l.num, ones - l.ones, r)
     return Node(BLACK, l.left, l.num, l.ones, inner), down
 
@@ -746,8 +723,8 @@ class DynamicBitVector:
     builds a fresh tree, readers holding an old tree are unaffected.
     """
 
-    def __init__(self, bits: Iterable[int] = (), bounds: SizeBounds | None = None):
-        self.bounds = bounds if bounds is not None else SizeBounds.from_w(64)
+    def __init__(self, bits: Iterable[int] = (), bounds: SizeBounds = DEFAULT_BOUNDS):
+        self.bounds = bounds
         self.tree: DTree = from_bits(bits, self.bounds)
 
     def __len__(self) -> int:

@@ -27,8 +27,9 @@ path <-> bit-offset conversion (``louds_position``) definable.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Any, Callable, Sequence
 
 from .bitvec import BitSeq, BitVector, pred, rank, select, succ
@@ -293,9 +294,7 @@ class Louds:
             object.__setattr__(self, "vector", BitVector(self.vector))
 
     @classmethod
-    def encode(cls, t: Tree, super_root: bool = False) -> "Louds":
-        if super_root:
-            t = with_super_root(t)
+    def encode(cls, t: Tree) -> "Louds":
         return cls(BitVector(louds_encode(t)))
 
     @property
@@ -347,56 +346,38 @@ class TreeParseError(ValueError):
         self.column = column
 
 
-def _scan_tree(text: str):
-    """Yield (kind, value, line, column) with kind in {'(', ')', 'label'}."""
-    line, col = 1, 0
-    label = None
-    label_pos = (1, 1)
-    for ch in text:
-        if ch == "\n":
-            line += 1
-            col = 0
-        else:
-            col += 1
-        if ch in "()" or ch.isspace():
-            if label is not None:
-                yield ("label", label, *label_pos)
-                label = None
-            if ch in "()":
-                yield (ch, ch, line, col)
-        else:
-            if label is None:
-                label = ch
-                label_pos = (line, col)
-            else:
-                label += ch
-    if label is not None:
-        yield ("label", label, *label_pos)
+# one token: a parenthesis or a label, a maximal run of anything else
+# that is not whitespace
+_TREE_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
+def _parse_error(text: str, k: int, message: str) -> TreeParseError:
+    """The error at the k-th token of text, located by line and column."""
+    at = next(islice(_TREE_TOKEN.finditer(text), k, None)).start()
+    return TreeParseError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
 
 
 def parse_tree(text: str) -> Tree:
     """Parse the parenthesized form ``(label child*)``; labels are
     arbitrary non-whitespace tokens and become string node labels."""
-    tokens = list(_scan_tree(text))
+    tokens = _TREE_TOKEN.findall(text)
     if not tokens:
         raise TreeParseError("empty input", 1, 1)
     stack: list[tuple[str, list[Tree]]] = []
     root: Tree | None = None
-    pos = 0
-    while pos < len(tokens):
-        kind, value, line, col = tokens[pos]
+    pos, end = 0, len(tokens)
+    while pos < end:
+        token = tokens[pos]
         if root is not None:
-            raise TreeParseError("trailing content after tree", line, col)
-        if kind == "(":
-            if pos + 1 >= len(tokens) or tokens[pos + 1][0] != "label":
-                if pos + 1 < len(tokens):
-                    line, col = tokens[pos + 1][2], tokens[pos + 1][3]
-                raise TreeParseError("expected a label after '('", line, col)
-            stack.append((tokens[pos + 1][1], []))
+            raise _parse_error(text, pos, "trailing content after tree")
+        if token == "(":
+            if pos + 1 == end or tokens[pos + 1] in "()":
+                raise _parse_error(text, min(pos + 1, end - 1), "expected a label after '('")
+            stack.append((tokens[pos + 1], []))
             pos += 2
-        elif kind == ")":
+        elif token == ")":
             if not stack:
-                raise TreeParseError("unbalanced ')'", line, col)
+                raise _parse_error(text, pos, "unbalanced ')'")
             label, kids = stack.pop()
             node = Tree(label, tuple(kids))
             if stack:
@@ -405,10 +386,9 @@ def parse_tree(text: str) -> Tree:
                 root = node
             pos += 1
         else:
-            raise TreeParseError(f"unexpected token {value!r}", line, col)
+            raise _parse_error(text, pos, f"unexpected token {token!r}")
     if root is None:
-        line, col = tokens[-1][2], tokens[-1][3]
-        raise TreeParseError("unexpected end of input", line, col)
+        raise _parse_error(text, end - 1, "unexpected end of input")
     return root
 
 

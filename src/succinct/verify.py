@@ -9,22 +9,7 @@ from __future__ import annotations
 
 from random import Random
 
-from .dynamic import (
-    DTree,
-    Leaf,
-    SizeBounds,
-    daccess,
-    ddelete,
-    dflatten,
-    dinsert,
-    drank,
-    dselect0,
-    dselect1,
-    dset,
-    dclear,
-    redblack_check,
-    wf_check,
-)
+from .dynamic import DTree, DynamicBitVector, SizeBounds, dflatten, redblack_check, wf_check
 from .louds import (
     Louds,
     Tree,
@@ -50,6 +35,8 @@ from .oracle import (
 )
 
 __all__ = [
+    "OPS",
+    "QUERIES",
     "ScriptRunner",
     "VerifyError",
     "check_encoding",
@@ -179,15 +166,23 @@ def random_script(rng: Random, n_ops: int = 200, size: int = 0) -> list[tuple]:
     return ops
 
 
+# script ops: the DynamicBitVector method of each name and its argument
+# count; a query returns its answer, an update returns nothing
+OPS = dict(insert=2, delete=1, set=1, clear=1, rank=1, select0=1, select1=1, access=1)
+QUERIES = frozenset({"rank", "select0", "select1", "access"})
+
+
 class ScriptRunner:
-    """Applies script ops to a tree; with verify on, mirrors every op on
-    a flat list and checks results plus structural invariants after each
-    step.  With verify off there is no mirror and no oracle call."""
+    """Applies script ops to a ``DynamicBitVector``; with verify on,
+    mirrors every op on a flat list and checks results plus structural
+    invariants after each step.  With verify off there is no mirror and
+    no oracle call."""
 
     def __init__(self, bounds: SizeBounds, verify: bool = False, tree: DTree | None = None):
-        self.bounds = bounds
+        self.vector = DynamicBitVector(bounds=bounds)
+        if tree is not None:
+            self.vector.tree = tree
         self.verify = verify
-        self.tree: DTree = tree if tree is not None else Leaf(0, 0)
         self.flat: list[int] | None = None
         self.steps = 0
         if verify:
@@ -195,37 +190,27 @@ class ScriptRunner:
             if tree is not None:
                 self._check_invariants("initial state")
 
+    @property
+    def tree(self) -> DTree:
+        return self.vector.tree
+
     def run(self, ops) -> list[int]:
         return [r for r in map(self.step, ops) if r is not None]
 
     def step(self, op: tuple) -> int | None:
         kind = op[0]
-        result: int | None = None
-        if kind == "insert":
-            _, i, b = op
-            self.tree = dinsert(self.tree, b, i, self.bounds)
-        elif kind == "delete":
-            self.tree = ddelete(self.tree, op[1], self.bounds)
-        elif kind == "set":
-            self.tree, _ = dset(self.tree, op[1])
-        elif kind == "clear":
-            self.tree, _ = dclear(self.tree, op[1])
-        elif kind == "rank":
-            result = drank(self.tree, op[1])
-        elif kind == "select0":
-            result = dselect0(self.tree, op[1])
-        elif kind == "select1":
-            result = dselect1(self.tree, op[1])
-        elif kind == "access":
-            result = daccess(self.tree, op[1])
-        else:
+        arity = OPS.get(kind)
+        if arity is None:
             raise ValueError(f"unknown op {kind!r}")
+        if len(op) != arity + 1:
+            raise ValueError(f"{kind} takes {arity} argument(s), got {len(op) - 1}")
+        result = getattr(self.vector, kind)(*op[1:])
         if self.verify:
             self._mirror(op, result)
         self.steps += 1
         if self.verify:
             self._check_invariants(op)
-        return result
+        return result if kind in QUERIES else None
 
     def _mirror(self, op: tuple, got: int | None) -> None:
         """Apply op to the flat list, or check a query's answer on it."""
@@ -249,7 +234,7 @@ class ScriptRunner:
     def _check_invariants(self, op) -> None:
         if dflatten(self.tree) != self.flat:
             raise VerifyError(f"step {self.steps} {op}: contents diverged from the oracle")
-        if not wf_check(self.tree, self.bounds):
+        if not wf_check(self.tree, self.vector.bounds):
             raise VerifyError(f"step {self.steps} {op}: well-formedness lost")
         if redblack_check(self.tree) is None:
             raise VerifyError(f"step {self.steps} {op}: red-black invariant lost")

@@ -10,7 +10,7 @@ from samples import LOUDS21_TEXT, TREE10_TEXT, del_borrow_sample
 from succinct import dump, number_of_nodes
 from succinct.cli import main, parse_script, ScriptError
 from succinct.verify import ScriptRunner, VerifyError, random_script, random_tree
-from succinct import SizeBounds, format_tree
+from succinct import DynamicBitVector, SizeBounds, format_tree
 
 
 @pytest.fixture
@@ -304,9 +304,7 @@ class TestDbvRun:
 
     def test_verify_catches_injected_divergence(self, capsys, tmp_path, monkeypatch):
         # make the tree-side rank lie; the oracle mirror must catch it
-        import succinct.verify as verify_mod
-
-        monkeypatch.setattr(verify_mod, "drank", lambda t, i: -1)
+        monkeypatch.setattr(DynamicBitVector, "rank", lambda self, i: -1)
         path = tmp_path / "s.txt"
         path.write_text("insert 0 1\nrank 1\n")
         code, _, err = run(capsys, "dbv-run", str(path), "--verify", "--bounds", "8,32")
@@ -314,9 +312,7 @@ class TestDbvRun:
         assert "oracle" in err
 
     def test_unverified_run_does_not_check(self, capsys, tmp_path, monkeypatch):
-        import succinct.verify as verify_mod
-
-        monkeypatch.setattr(verify_mod, "drank", lambda t, i: -1)
+        monkeypatch.setattr(DynamicBitVector, "rank", lambda self, i: -1)
         path = tmp_path / "s.txt"
         path.write_text("insert 0 1\nrank 1\n")
         code, out, _ = run(capsys, "dbv-run", str(path), "--bounds", "8,32")
@@ -411,17 +407,30 @@ def test_arbitrary_bytes_never_crash_the_cli(capsys, tmp_path, data):
 
 
 class TestVerifyCommand:
-    def test_small_run_passes(self, capsys):
+    def test_small_run_passes(self, capsys, monkeypatch):
+        import succinct.cli as cli_mod
+
+        # the second script starts from a bulk-built vector
+        starts = []
+        build = cli_mod.from_bits
+
+        def spy(bits, bounds):
+            starts.append((len(bits), bounds))
+            return build(bits, bounds)
+
+        monkeypatch.setattr(cli_mod, "from_bits", spy)
         code, out, _ = run(
-            capsys, "verify", "--trees", "5", "--scripts", "2", "--ops", "80", "--seed", "3"
+            capsys, "verify", "--trees", "5", "--scripts", "2", "--ops", "80", "--seed", "3",
+            "--bounds", "3,8",
         )
         assert code == 0
         assert "ok" in out
+        assert len(starts) == 1
+        size, bounds = starts[0]
+        assert size > 2 * bounds.high and bounds == SizeBounds(3, 8)
 
     def test_mismatch_fails(self, capsys, monkeypatch):
-        import succinct.verify as verify_mod
-
-        monkeypatch.setattr(verify_mod, "drank", lambda t, i: -1)
+        monkeypatch.setattr(DynamicBitVector, "rank", lambda self, i: -1)
         code, _, err = run(capsys, "verify", "--trees", "0", "--scripts", "1", "--ops", "50")
         assert code == 1
 
@@ -458,3 +467,18 @@ class TestRunnerDivergenceDetection:
         bad = Leaf.of([1] * 100)  # beyond the leaf upper bound
         with pytest.raises(VerifyError):
             ScriptRunner(SizeBounds(8, 32), verify=True, tree=bad)
+
+
+class TestRunnerStep:
+    @pytest.mark.parametrize(
+        "op",
+        [("bogus", 0), ("dump",), ("to_bits",), ("__init__",), ("rank",), ("rank", 0, 1),
+         ("insert", 0)],
+    )
+    def test_rejects_what_is_not_a_script_op(self, op):
+        runner = ScriptRunner(SizeBounds(8, 32))
+        runner.step(("insert", 0, 1))
+        tree = runner.tree
+        with pytest.raises(ValueError):
+            runner.step(op)
+        assert runner.tree is tree and runner.steps == 1

@@ -376,6 +376,30 @@ class TestDeletedBalance:
             assert redblack_check(tree, RED if down else context) == expected_bh - down
             assert wf_check(tree, SizeBounds(low, high))
 
+    @pytest.mark.parametrize("parent_color", [RED, BLACK])
+    def test_two_red_nephews_rotate_the_outer_one(self, parent_color):
+        # a black sibling with two red children: the outer one (rr on the
+        # right, ll on the left) takes the single rotation, and the inner
+        # one moves across still red
+        a, c, d, e = (Leaf.of(b(s)) for s in ("110", "001", "010", "111"))
+        inner = Node(RED, a, 3, 2, c)
+        outer = Node(RED, d, 3, 1, e)
+        short = Leaf.of(b("1000"))
+
+        sibling = Node(BLACK, inner, 6, 3, outer)
+        tree, down = _fix_left_short(parent_color, short, 4, 1, sibling)
+        assert tree == Node(
+            parent_color, Node(BLACK, short, 4, 1, inner), 10, 4, Node(BLACK, d, 3, 1, e)
+        )
+        assert down is False
+
+        sibling = Node(BLACK, outer, 6, 4, inner)
+        tree, down = _fix_right_short(parent_color, sibling, 12, 7, short)
+        assert tree == Node(
+            parent_color, Node(BLACK, d, 3, 1, e), 6, 4, Node(BLACK, inner, 6, 3, short)
+        )
+        assert down is False
+
     def test_ddel_reports_deleted_bit(self):
         t = from_bits(b("10110"), SizeBounds(2, 4))
         assert _ddel(t, 2, 2)[2] == 1

@@ -246,14 +246,14 @@ class TestCheckedLayer:
             nav.child(17, 1)
 
     def test_encode_constructor(self):
-        assert list(Louds.encode(TREE10, super_root=True).bits) == LOUDS21
+        assert list(Louds.encode(with_super_root(TREE10)).bits) == LOUDS21
 
     def test_bits_view_and_content_equality(self):
         nav = Louds(LOUDS21)
         assert nav.bits == tuple(LOUDS21)
         assert len(nav) == len(LOUDS21)
         assert nav == Louds(tuple(LOUDS21)) == Louds(BitVector(LOUDS21))
-        assert hash(nav) == hash(Louds.encode(TREE10, super_root=True))
+        assert hash(nav) == hash(Louds.encode(with_super_root(TREE10)))
         assert nav != Louds(LOUDS21[:-2])
 
     def test_is_immutable(self):

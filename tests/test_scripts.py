@@ -22,9 +22,3 @@ def test_louds_walk(tmp_path):
     done = run_script("louds_walk.py", str(path))
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "10 nodes, 19 bits, mismatches: 0"
-
-
-def test_fuzz_dynamic():
-    done = run_script("fuzz_dynamic.py", "--scripts", "2", "--ops", "50", "--seed", "1")
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1].startswith("ok: 100 ops")
