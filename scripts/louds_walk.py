@@ -44,6 +44,8 @@ def main() -> int:
         parent = nav.parent(pos) if path else None
         if kids != len(node.children):
             mismatches += 1
+        if path and parent != positions[path[:-1]]:
+            mismatches += 1
         for i in range(kids):
             if nav.child(pos, i) != positions[path + (i,)]:
                 mismatches += 1

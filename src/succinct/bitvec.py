@@ -27,6 +27,7 @@ from packed 64-bit words and a directory of 1- and 0-counts, 16 bytes per
 
 from __future__ import annotations
 
+import re
 from array import array
 from bisect import bisect_left
 from itertools import accumulate
@@ -52,19 +53,21 @@ _FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
 # (width, mask) of the halving steps that locate a bit within a word
 _HALVES = tuple((w, (1 << w) - 1) for w in (32, 16, 8, 4, 2, 1))
 _WORD = (1 << 64) - 1  # word ^ _WORD flips all 64 bits, padding included
+_NOT_BIT = re.compile(r"[^01\s]")
+
+
+def _text_bits(text: str) -> bytes:
+    """The '0'/'1' bytes of ASCII bit text, whose whitespace is ignored
+    wherever it stands; any other character raises."""
+    bad = _NOT_BIT.search(text)
+    if bad:
+        raise ValueError(f"invalid bit character {bad[0]!r} at offset {bad.start()}")
+    return "".join(text.split()).encode()
 
 
 def parse_bits(text: str) -> list[int]:
     """Parse an ASCII bit string; whitespace between groups is ignored."""
-    bits = []
-    for offset, ch in enumerate(text):
-        if ch == "0":
-            bits.append(0)
-        elif ch == "1":
-            bits.append(1)
-        elif not ch.isspace():
-            raise ValueError(f"invalid bit character {ch!r} at offset {offset}")
-    return bits
+    return list(_text_bits(text).translate(_FROM_ASCII))
 
 
 def format_bits(bits: BitSeq) -> str:
@@ -143,7 +146,8 @@ class BitVector:
     is one lookup plus ``int.bit_count`` of one masked word; ``select``
     is a C-level ``bisect_left`` over one half, then halves into a word;
     ``succ`` and ``pred`` look in the word holding their index first.
-    All answer exactly like the free functions.  Words and directory
+    For ``b`` in (0, 1), bools included, all answer exactly like the free
+    functions; any other ``b`` raises ``ValueError``.  Words and directory
     take 16 bytes per 64 bits.
     """
 
@@ -189,6 +193,8 @@ class BitVector:
 
     def rank(self, b: Bit, i: int) -> int:
         """Number of positions j < i holding b; i saturates at len."""
+        if b not in (0, 1):
+            raise ValueError("b must be 0 or 1")
         if i < 0:
             raise ValueError("prefix length must be non-negative")
         i = min(i, self._len)
@@ -201,6 +207,8 @@ class BitVector:
     def select(self, b: Bit, i: int) -> int:
         """1-based position of the i-th b: 0 for i == 0, len + 1 when
         fewer than i exist."""
+        if b not in (0, 1):
+            raise ValueError("b must be 0 or 1")
         if i < 0:
             raise ValueError("occurrence ordinal must be non-negative")
         if i == 0:
@@ -217,6 +225,8 @@ class BitVector:
     def succ(self, b: Bit, y: int) -> int:
         """1-based position of the first b at or after 1-based index y;
         len + 1 if none."""
+        if b not in (0, 1):
+            raise ValueError("b must be 0 or 1")
         if y < 1:
             raise ValueError("succ indexes from 1")
         j = y - 1
@@ -230,6 +240,8 @@ class BitVector:
     def pred(self, b: Bit, y: int) -> int:
         """1-based position of the last b at or before 1-based index y;
         0 if none."""
+        if b not in (0, 1):
+            raise ValueError("b must be 0 or 1")
         if y < 1:
             raise ValueError("pred indexes from 1")
         j = min(y, self._len) - 1

@@ -42,6 +42,7 @@ from .verify import (
     random_tree,
 )
 
+
 class ScriptError(ValueError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")

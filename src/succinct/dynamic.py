@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .bitvec import _FROM_ASCII, _ascii_bits
+from .bitvec import _FROM_ASCII, _ascii_bits, _text_bits
 
 __all__ = [
     "BLACK",
@@ -631,89 +631,46 @@ def dump(t: DTree) -> str:
     return "\n".join(lines)
 
 
-# one token after optional whitespace: a parenthesis, a quoted string
-# (group 3 empty when unterminated) or an atom
-_SEXPR_TOKEN = re.compile(r'\s*(?:([()])|"([^"]*)("?)|([^\s()"]+))')
+# one dump item and the whitespace after it: the head of an internal
+# node (color, num, ones), a whole leaf (and its quoted bits, if any), a
+# closing parenthesis, or any other character, which is an error
+_DUMP_ITEM = re.compile(
+    r'(?:\(\s*(Red|Black)\s+num=(-?\d+)\s+ones=(-?\d+)'
+    r'|(\(\s*leaf\s*(?:"([^"]*)"\s*)?\))|(\))|\S)\s*'
+)
 
 
-def _scan_sexpr(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    for paren, string, closed, atom in _SEXPR_TOKEN.findall(text):
-        if not (paren or atom or closed):
-            raise ValueError("unterminated string in tree dump")
-        tokens.append((paren, paren) if paren else ("atom", atom) if atom else ("str", string))
-    return tokens
-
-
-def _parse_leaf_bits(text: str) -> Leaf:
-    """The leaf of a quoted dump string; whitespace inside is ignored."""
-    text = "".join(text.split())
-    rest = text.lstrip("01")
-    if rest:
-        raise ValueError(f"invalid bit character {rest[0]!r} in tree dump leaf")
-    return _leaf_of_text(text)
-
-
-def _parse_dump_node(tokens: list[tuple[str, str]], pos: int) -> tuple[DTree, int]:
-    """The node starting at tokens[pos] and the position after it.  Open
-    internal nodes wait on an explicit stack, so any depth is safe."""
-
-    def expect(kind: str) -> str:
-        if pos >= len(tokens) or tokens[pos][0] != kind:
-            raise ValueError(f"malformed tree dump near token {pos}")
-        return tokens[pos][1]
-
-    # (color, num, ones, children parsed so far) of each open node
-    open_nodes: list[tuple[Color, int, int, list[DTree]]] = []
-    while True:
-        expect("(")
-        pos += 1
-        head = expect("atom")
-        pos += 1
-        if head != "leaf":
-            try:
-                color = Color(head)
-            except ValueError:
-                raise ValueError(f"unknown node kind {head!r} in tree dump") from None
-            meta = []
-            for key in ("num", "ones"):
-                atom = expect("atom")
-                name, _, value = atom.partition("=")
-                if name != key or not value.lstrip("-").isdigit():
-                    raise ValueError(f"expected {key}=<int> in tree dump, got {atom!r}")
-                meta.append(int(value))
-                pos += 1
-            open_nodes.append((color, *meta, []))
-            continue
-        text = ""
-        if pos < len(tokens) and tokens[pos][0] == "str":
-            text = tokens[pos][1]
-            pos += 1
-        expect(")")
-        pos += 1
-        node: DTree = _parse_leaf_bits(text)
-        # a finished node completes its parent when it is the right child
-        while open_nodes:
-            children = open_nodes[-1][3]
-            children.append(node)
-            if len(children) == 1:
-                break
-            color, num, ones, (left, right) = open_nodes.pop()
-            expect(")")
-            pos += 1
-            node = Node(color, left, num, ones, right)
-        else:
-            return node, pos
+def _dump_error(text: str, at: int, message: str) -> ValueError:
+    """The error at offset ``at`` of a tree dump, located by line and column."""
+    line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+    return ValueError(f"{message} (line {line}, column {column})")
 
 
 def parse_dump(text: str) -> DTree:
-    tokens = _scan_sexpr(text)
-    if not tokens:
-        raise ValueError("empty tree dump")
-    tree, pos = _parse_dump_node(tokens, 0)
-    if pos != len(tokens):
-        raise ValueError("trailing content in tree dump")
-    return tree
+    """The tree a ``dump`` spells.  Each unclosed node waits on an
+    explicit stack as [color, num, ones, children so far...], so any
+    depth is safe; a node takes exactly two children.  The bottom entry
+    stands in for the root's parent: its one missing child is the root."""
+    stack: list[list] = [[None] * 4]
+    for m in _DUMP_ITEM.finditer(text):
+        color, num, ones, leaf, bits, close = m.groups()
+        full = len(stack[-1]) == 5
+        if close and full and len(stack) > 1:
+            color, num, ones, left, right = stack.pop()
+            stack[-1].append(Node(color, left, num, ones, right))
+        elif color and not full:
+            stack.append([Color(color), int(num), int(ones)])
+        elif leaf and not full:
+            try:
+                stack[-1].append(_leaf_of_text(_text_bits(bits or "")))
+            except ValueError as e:
+                raise _dump_error(text, m.start(), f"{e} in tree dump leaf") from None
+        else:
+            want = ("')'" if len(stack) > 1 else "the end") if full else "a node"
+            raise _dump_error(text, m.start(), f"expected {want} in tree dump")
+    if len(stack) > 1 or len(stack[0]) < 5:
+        raise _dump_error(text, len(text), "tree dump ends early")
+    return stack[0][4]
 
 
 class DynamicBitVector:

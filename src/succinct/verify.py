@@ -204,7 +204,8 @@ class ScriptRunner:
             raise ValueError(f"unknown op {kind!r}")
         if len(op) != arity + 1:
             raise ValueError(f"{kind} takes {arity} argument(s), got {len(op) - 1}")
-        result = getattr(self.vector, kind)(*op[1:])
+        method = getattr(self.vector, kind)
+        result = method(op[1], op[2]) if arity == 2 else method(op[1])
         if self.verify:
             self._mirror(op, result)
         self.steps += 1

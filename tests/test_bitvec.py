@@ -267,6 +267,19 @@ class TestBitVector:
             with pytest.raises(ValueError):
                 method(0, 0)
 
+    @pytest.mark.parametrize(
+        "method, arg", [("rank", 4), ("select", 1), ("succ", 1), ("pred", 4)]
+    )
+    def test_rejects_a_bit_other_than_0_or_1(self, method, arg):
+        # a packed answer for b == 2 would be the one for b == 0, where
+        # the free function counts no occurrence at all
+        query = getattr(BitVector([0, 1, 1, 0]), method)
+        for b in (2, -1):
+            with pytest.raises(ValueError, match="b must be 0 or 1"):
+                query(b, arg)
+        assert query(True, arg) == query(1, arg)
+        assert query(False, arg) == query(0, arg)
+
     def test_succ_pred_past_sparse_words(self):
         # the answer lies several words away from the word holding y
         s = [0] * 300
@@ -287,6 +300,33 @@ class TestBitVector:
         assert index._words.nbytes + index._dir.nbytes == 16 * m + 8
 
 
+def per_character_parse_bits(text):
+    """The definition of the ASCII bit format, one character at a time."""
+    bits = []
+    for offset, ch in enumerate(text):
+        if ch == "0":
+            bits.append(0)
+        elif ch == "1":
+            bits.append(1)
+        elif not ch.isspace():
+            raise ValueError(f"invalid bit character {ch!r} at offset {offset}")
+    return bits
+
+
+def outcome(parse, text):
+    """The bits parse reads from text, or the message it raises."""
+    try:
+        return parse(text)
+    except ValueError as e:
+        return str(e)
+
+
+# bits, ASCII and Unicode whitespace, a non-ASCII digit, or any character
+bit_text = st.text(
+    st.sampled_from("0011 \t\n\r\x0b\x1c\x85\xa0\u2003\u3000x2\u0661") | st.characters()
+)
+
+
 class TestAsciiFormat:
     def test_whitespace_is_ignored(self):
         assert parse_bits("10 01\n11") == [1, 0, 0, 1, 1, 1]
@@ -298,3 +338,13 @@ class TestAsciiFormat:
     @given(bit_lists)
     def test_roundtrip(self, s):
         assert parse_bits(format_bits(s)) == s
+
+    def test_matches_definition_on_every_character_to_u3000(self):
+        # every Unicode whitespace character lies at or below U+3000
+        for cp in range(0x3001):
+            text = f"1{chr(cp)} 0"
+            assert outcome(parse_bits, text) == outcome(per_character_parse_bits, text), cp
+
+    @given(bit_text)
+    def test_matches_definition_on_random_text(self, text):
+        assert outcome(parse_bits, text) == outcome(per_character_parse_bits, text)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -452,6 +453,61 @@ class TestDumpFormat:
             parse_dump('(leaf "0121")')
         with pytest.raises(ValueError):
             parse_dump('(Black num=1 ones=0 (leaf "0")')
+
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            ("(Purple num=1 ones=1 (leaf) (leaf))", 1, 1),  # unknown color
+            ('(Black num=1\n  (leaf "1") (leaf "0"))', 1, 1),  # no ones=
+            ('(Black num=5x ones=1 (leaf "1") (leaf "0"))', 1, 1),  # num not an int
+            ('(Black num=1 ones=1\n  (leaf "1"))', 2, 13),  # one child
+            ('(Red num=1 ones=1 (leaf "1") (leaf "0") (leaf))', 1, 41),  # three children
+            ('(Black num=1 ones=1 (leaf "1")\n  (leaf "01))', 2, 3),  # unterminated quote
+            ('(Black num=1 ones=1 (leaf "1") x (leaf "0"))', 1, 32),  # junk between nodes
+            ('(Black num=1 ones=1\n  (leaf "1") (leaf "0")', 2, 24),  # unclosed node
+            ('(leaf "1")\n(leaf "0")', 2, 1),  # two roots
+            ('(Red num=1 ones=1\n  (leaf "1") (leaf "0 2"))', 2, 14),  # a bad bit
+            ("\n  ", 2, 3),  # no tree at all
+        ],
+    )
+    def test_rejection_names_line_and_column(self, text, line, column):
+        with pytest.raises(ValueError, match=rf"\(line {line}, column {column}\)$"):
+            parse_dump(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 1), max_size=40),
+        st.sampled_from([SizeBounds(1, 4), SizeBounds(3, 8)]),
+        st.lists(
+            st.tuples(
+                st.integers(0, 10**4),
+                st.integers(0, 6),
+                st.sampled_from(["", " ", "\n", "(", ")", '"', "0", "2", "x", "-", "leaf",
+                                 "(leaf)", "Red", "Black", "num=1", "ones=0 ", "\u2003"])
+                | st.text(max_size=3),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_mutated_dump_rereads_or_raises_value_error(self, bits, bounds, edits):
+        text = dump(from_bits(bits, bounds))
+        for at, cut, piece in edits:
+            at %= len(text) + 1
+            text = text[:at] + piece + text[at + cut :]
+        try:
+            t = parse_dump(text)
+        except ValueError:
+            return
+        assert parse_dump(dump(t)) == t
+
+    def test_trailing_whitespace_reads_in_linear_time(self):
+        # a scanner that tries a token at every trailing whitespace
+        # character takes seconds here
+        text = dump(from_bits([1, 0, 1] * 50, SizeBounds(3, 8))) + " " * 20_000 + "\n" * 20_000
+        start = time.perf_counter()
+        assert dflatten(parse_dump(text)) == [1, 0, 1] * 50
+        assert time.perf_counter() - start < 1.0
 
     def test_leaf_text_is_index_order(self):
         t = Node(BLACK, Leaf(0b110, 3), 3, 2, Leaf(0, 0))

@@ -22,3 +22,6 @@ def test_louds_walk(tmp_path):
     done = run_script("louds_walk.py", str(path))
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "10 nodes, 19 bits, mismatches: 0"
+    done = run_script("louds_walk.py", "--super-root", str(path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "11 nodes, 21 bits, mismatches: 0"
