@@ -9,15 +9,9 @@ Useful for eyeballing how the bit offsets line up with the tree.
 import argparse
 import sys
 
-from succinct import (
-    Louds,
-    format_bits,
-    louds_position,
-    number_of_nodes,
-    parse_tree,
-    subtree,
-    with_super_root,
-)
+from succinct import Louds, format_bits, parse_tree, with_super_root
+from succinct.louds import number_of_nodes
+from succinct.spec import louds_position, subtree
 from succinct.verify import all_paths
 
 

@@ -10,73 +10,25 @@ Three layers, each validated against a naive reference oracle:
 - ``dynamic``: dynamic bit vectors as red-black trees over packed
   leaf words, with insert/delete/set/clear, tree-steered queries and
   an O(n) bulk build.
+
+This package exports the public API of the three layers.  Everything
+else is imported from its own module: the tree internals and free
+``d*`` functions from ``dynamic``, the paper's traversal formulations
+from ``spec``, the reference implementations from ``oracle`` and the
+randomized cross-checks from ``verify``.
 """
 
-from .bitvec import (
-    Bit,
-    BitSeq,
-    BitVector,
-    format_bits,
-    parse_bits,
-    pred,
-    rank,
-    select,
-    succ,
-)
-from .dynamic import (
-    BLACK,
-    RED,
-    Color,
-    DTree,
-    DynamicBitVector,
-    Leaf,
-    Node,
-    SizeBounds,
-    daccess,
-    dclear,
-    ddelete,
-    dflatten,
-    dinsert,
-    drank,
-    dselect0,
-    dselect1,
-    dset,
-    dsize,
-    dump,
-    from_bits,
-    parse_dump,
-    redblack_check,
-    wf_check,
-)
+from .bitvec import BitVector, format_bits, parse_bits, pred, rank, select, succ
+from .dynamic import DynamicBitVector, SizeBounds, dump, from_bits, parse_dump
 from .louds import (
-    Forest,
-    Louds,
-    Path,
-    Tree,
-    TreeParseError,
-    children,
-    children_of_forest,
-    format_tree,
-    height,
-    level_traversal,
-    lo_fringe,
-    lo_index,
-    lo_traversal,
-    lo_traversal_lt,
-    lo_traversal_st,
-    louds_child,
-    louds_children,
-    louds_encode,
-    louds_lt,
-    louds_parent,
-    louds_position,
-    mzip,
-    node_description,
-    number_of_nodes,
-    parse_tree,
-    subtree,
-    valid_position,
-    with_super_root,
+    Louds, Tree, TreeParseError, format_tree, louds_encode, parse_tree, with_super_root
 )
+
+__all__ = [
+    "BitVector", "rank", "select", "succ", "pred", "parse_bits", "format_bits",
+    "Tree", "Louds", "TreeParseError", "parse_tree", "format_tree", "louds_encode",
+    "with_super_root",
+    "DynamicBitVector", "SizeBounds", "from_bits", "dump", "parse_dump",
+]
 
 __version__ = "0.1.0"

@@ -30,6 +30,7 @@ from __future__ import annotations
 import re
 from array import array
 from bisect import bisect_left
+from functools import cache
 from itertools import accumulate
 from typing import Sequence
 
@@ -50,8 +51,6 @@ __all__ = [
 
 _TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
-# (width, mask) of the halving steps that locate a bit within a word
-_HALVES = tuple((w, (1 << w) - 1) for w in (32, 16, 8, 4, 2, 1))
 _WORD = (1 << 64) - 1  # word ^ _WORD flips all 64 bits, padding included
 _NOT_BIT = re.compile(r"[^01\s]")
 
@@ -124,15 +123,44 @@ def _frozen(code: str, values) -> memoryview:
     return memoryview(array(code, values).tobytes()).cast(code)
 
 
-def _word_select(word: int, r: int) -> int:
-    """0-based offset of the r-th 1 (counting from 1) within a word."""
+@cache
+def _halves(k: int) -> tuple[tuple[int, int], ...]:
+    """(width, mask) of the steps that halve a word of at most 2**k bits
+    down to one bit, widest first."""
+    return tuple((1 << j, (1 << (1 << j)) - 1) for j in reversed(range(k)))
+
+
+def _halve(word: int, r: int, steps: tuple[tuple[int, int], ...]) -> int:
+    """0-based offset of the r-th 1 (counting from 1) within a word that
+    holds at least r 1s.  Each step keeps the half holding it, so the
+    word shrinks as it goes and every ``bit_count`` is of a smaller int."""
     offset = 0
-    for width, mask in _HALVES:
-        low = ((word >> offset) & mask).bit_count()
-        if low < r:
-            r -= low
+    for width, mask in steps:
+        low = word & mask
+        count = low.bit_count()
+        if count < r:
+            r -= count
             offset += width
+            word >>= width
+        else:
+            word = low
     return offset
+
+
+def _word_select(word: int, length: int, i: int) -> int:
+    """1-based position of the i-th 1 of a ``length``-bit word, with
+    select's conventions: 0 for i == 0, length + 1 when the word holds
+    fewer than i 1s."""
+    if i < 0:
+        raise ValueError("occurrence ordinal must be non-negative")
+    if i == 0:
+        return 0
+    if i > word.bit_count():
+        return length + 1
+    return _halve(word, i, _halves((length - 1).bit_length())) + 1
+
+
+_HALVES = _halves(6)  # the steps for one 64-bit BitVector word
 
 
 class BitVector:
@@ -220,7 +248,7 @@ class BitVector:
             return self._len + 1
         k = bisect_left(counts, i, lo, lo + half) - 1
         word = self._words[k - lo]
-        return ((k - lo) << 6) + _word_select(word if b == 1 else ~word, i - counts[k]) + 1
+        return ((k - lo) << 6) + _halve(word if b == 1 else ~word, i - counts[k], _HALVES) + 1
 
     def succ(self, b: Bit, y: int) -> int:
         """1-based position of the first b at or after 1-based index y;

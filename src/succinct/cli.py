@@ -22,15 +22,9 @@ from .dynamic import (
     redblack_check,
     wf_check,
 )
-from .louds import (
-    Louds,
-    TreeParseError,
-    louds_encode,
-    louds_position,
-    parse_tree,
-    with_super_root,
-)
+from .louds import Louds, louds_encode, parse_tree, with_super_root
 from .oracle import tree_navigate
+from .spec import louds_position
 from .verify import (
     OPS,
     ScriptRunner,
@@ -99,26 +93,23 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _read_file(path: str) -> str:
-    """The text of a UTF-8 file; ValueError when it is not UTF-8."""
+def _parse_file(path: str, parse):
+    """``parse`` of the text of a UTF-8 file.  A ValueError, from the
+    parser or for text that is not UTF-8, comes back naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            return parse(fh.read())
     except UnicodeDecodeError as e:
         raise ValueError(f"{path}: not UTF-8 text: {e}") from None
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _cmd_louds_build(args) -> int:
     try:
-        text = _read_file(args.tree_file)
+        tree = _parse_file(args.tree_file, parse_tree)
     except (OSError, ValueError) as e:
         return _fail(str(e), 2)
-    if not text.strip():
-        return _fail(f"{args.tree_file}: empty input", 2)
-    try:
-        tree = parse_tree(text)
-    except TreeParseError as e:
-        return _fail(f"{args.tree_file}: {e}", 2)
     if args.super_root:
         tree = with_super_root(tree)
     start = time.perf_counter()
@@ -131,7 +122,7 @@ def _cmd_louds_build(args) -> int:
 
 def _load_bits(args) -> list[int]:
     if args.bits_file is not None:
-        return parse_bits(_read_file(args.bits_file))
+        return _parse_file(args.bits_file, parse_bits)
     if args.bits is None:
         raise ValueError("provide a bit string or --bits-file")
     return parse_bits(args.bits)
@@ -139,11 +130,7 @@ def _load_bits(args) -> list[int]:
 
 def _cmd_louds_query(args) -> int:
     try:
-        bits = _load_bits(args)
-    except (OSError, ValueError) as e:
-        return _fail(str(e), 2)
-    nav = Louds(bits)
-    try:
+        nav = Louds(_load_bits(args))
         if args.op == "children":
             result = nav.children(args.pos)
         elif args.op == "child":
@@ -152,7 +139,7 @@ def _cmd_louds_query(args) -> int:
             result = nav.child(args.pos, args.index)
         else:
             result = nav.parent(args.pos)
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         return _fail(str(e), 2)
     if args.verify is not None:
         code = _verify_query(args, result)
@@ -164,15 +151,12 @@ def _cmd_louds_query(args) -> int:
 
 def _verify_query(args, result: int) -> int:
     """Re-derive the query on the inductive tree and compare."""
-    try:
-        tree = parse_tree(_read_file(args.verify))
-    except (OSError, ValueError) as e:
-        return _fail(str(e), 2)
-    if args.super_root:
-        tree = with_super_root(tree)
     path = args.path if args.path is not None else []
-    forest = [tree]
     try:
+        tree = _parse_file(args.verify, parse_tree)
+        if args.super_root:
+            tree = with_super_root(tree)
+        forest = [tree]
         nav = tree_navigate(tree, path)
         want_pos = louds_position(forest, path)
         if args.pos != want_pos:
@@ -185,7 +169,7 @@ def _verify_query(args, result: int) -> int:
             want = louds_position(forest, list(path) + [args.index])
         else:
             want = louds_position(forest, path[:-1])
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         return _fail(str(e), 2)
     if result != want:
         return _fail(f"{args.op} mismatch: encoding says {result}, oracle says {want}", 1)
@@ -193,16 +177,11 @@ def _verify_query(args, result: int) -> int:
 
 
 def _cmd_dbv_run(args) -> int:
-    try:
-        steps = parse_script(_read_file(args.script))
-    except ScriptError as e:
-        return _fail(f"{args.script}: {e}", 2)
-    except (OSError, ValueError) as e:
-        return _fail(str(e), 2)
     bounds = args.bounds if args.bounds is not None else DEFAULT_BOUNDS
     try:
+        steps = _parse_file(args.script, parse_script)
         if args.init_tree is not None:
-            tree = parse_dump(_read_file(args.init_tree))
+            tree = _parse_file(args.init_tree, parse_dump)
             # the updates trust num/ones, the leaf window and the colors; a
             # tree that breaks them answers wrongly instead of failing
             if not wf_check(tree, bounds):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .bitvec import _FROM_ASCII, _ascii_bits, _text_bits
+from .bitvec import _FROM_ASCII, _ascii_bits, _text_bits, _word_select
 
 __all__ = [
     "BLACK",
@@ -149,31 +149,6 @@ def _without(leaf: Leaf, i: int) -> Leaf:
     return Leaf(word & ((1 << i) - 1) | word >> (i + 1) << i, leaf.length - 1)
 
 
-def _leaf_select(word: int, length: int, i: int) -> int:
-    """1-based position of the i-th 1 of a ``length``-bit word: 0 for
-    i == 0, length + 1 when the word holds fewer than i 1s.  Halves the
-    word by masked bit counts, keeping the half that holds the answer."""
-    if i < 0:
-        raise ValueError("occurrence ordinal must be non-negative")
-    if i == 0:
-        return 0
-    if i > word.bit_count():
-        return length + 1
-    pos = 0
-    while length > 1:
-        half = length >> 1
-        low = word & ((1 << half) - 1)
-        count = low.bit_count()
-        if count < i:
-            i -= count
-            pos += half
-            word >>= half
-            length -= half
-        else:
-            word, length = low, half
-    return pos + 1
-
-
 # ---------------------------------------------------------------------------
 # queries
 
@@ -227,7 +202,7 @@ def dselect1(t: DTree, i: int) -> int:
             acc += t.num
             i -= t.ones
             t = t.right
-    return acc + _leaf_select(t.word, t.length, i)
+    return acc + _word_select(t.word, t.length, i)
 
 
 def dselect0(t: DTree, i: int) -> int:
@@ -241,7 +216,7 @@ def dselect0(t: DTree, i: int) -> int:
             acc += t.num
             i -= zeros
             t = t.right
-    return acc + _leaf_select(~t.word & ((1 << t.length) - 1), t.length, i)
+    return acc + _word_select(~t.word & ((1 << t.length) - 1), t.length, i)
 
 
 def daccess(t: DTree, i: int) -> int:

@@ -15,55 +15,36 @@ the free, O(n) ``rank``/``select``.  ``Louds`` keeps the bits in a
 ``BitVector``, applies the same formulas with its methods (a few word
 operations or one O(log n) bisection a step) and validates positions.
 
-``louds_encode`` is one breadth-first pass over a queue; the recursive
-``level_traversal``/``mzip`` and the other traversal formulations stay
-as specifications that the tests check against it.
-
-Positions in the inductive tree are paths: lists of 0-based child
-indices from the root.  ``lo_traversal_lt`` produces the prefix of the
-breadth-first traversal preceding a path's node, which is what makes
-path <-> bit-offset conversion (``louds_position``) definable.
+``louds_encode`` is one breadth-first pass over a queue.  The paper's
+other traversal formulations, and the path <-> bit-offset conversion
+``louds_position``, are specifications in ``spec``, which the tests
+check this module against.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import Any, Callable, Sequence
+from itertools import islice
+from typing import Any, Sequence
 
 from .bitvec import BitSeq, BitVector, pred, rank, select, succ
 
 Path = Sequence[int]
 
 __all__ = [
-    "Forest",
     "Louds",
     "Path",
     "Tree",
     "TreeParseError",
-    "children",
-    "children_of_forest",
     "format_tree",
     "height",
-    "level_traversal",
-    "lo_fringe",
-    "lo_index",
-    "lo_traversal",
-    "lo_traversal_lt",
-    "lo_traversal_st",
     "louds_child",
     "louds_children",
     "louds_encode",
-    "louds_lt",
     "louds_parent",
-    "louds_position",
-    "mzip",
-    "node_description",
     "number_of_nodes",
     "parse_tree",
-    "subtree",
-    "valid_position",
     "with_super_root",
 ]
 
@@ -92,13 +73,6 @@ class Tree:
         return hash(self._shape())
 
 
-Forest = Sequence[Tree]
-
-
-def children_of_forest(f: Forest) -> list[Tree]:
-    return [c for t in f for c in t.children]
-
-
 def height(t: Tree) -> int:
     """Length of the longest root-to-leaf chain; a lone leaf has height 1."""
     best = 0
@@ -116,59 +90,12 @@ def number_of_nodes(t: Tree) -> int:
     return len(t._shape())
 
 
-def lo_traversal(f_map: Callable[[Tree], Any], t: Tree) -> list:
-    """Breadth-first node images, by iterating height-many times on a forest."""
-    out: list = []
-    forest: list[Tree] = [t]
-    for _ in range(height(t)):
-        out.extend(f_map(node) for node in forest)
-        forest = children_of_forest(forest)
-    return out
-
-
-def mzip(l: list[list], r: list[list]) -> list[list]:
-    """Zip two level sequences by concatenating corresponding levels.
-
-    The longer tail is passed through unchanged, which makes mzip an
-    associative monoid with [] as its neutral element.
-    """
-    if not l:
-        return r
-    if not r:
-        return l
-    n = min(len(l), len(r))
-    out = [l[k] + r[k] for k in range(n)]
-    out.extend(l[n:] if len(l) > n else r[n:])
-    return out
-
-
-def level_traversal(f_map: Callable[[Tree], Any], t: Tree) -> list[list]:
-    """Structurally recursive traversal: one inner list per tree level."""
-    rest: list[list] = []
-    for child in reversed(t.children):
-        rest = mzip(level_traversal(f_map, child), rest)
-    return [[f_map(t)]] + rest
-
-
-def lo_traversal_st(f_map: Callable[[Tree], Any], t: Tree) -> list:
-    """Flattened ``level_traversal``; equal to ``lo_traversal``."""
-    return list(chain.from_iterable(level_traversal(f_map, t)))
-
-
-def node_description(f: Forest) -> list[int]:
-    """Unary degree code of a node with the given children: 1^k followed by 0."""
-    return [1] * len(f) + [0]
-
-
-def children_description(t: Tree) -> list[int]:
-    return node_description(t.children)
-
-
 def louds_encode(t: Tree) -> list[int]:
     """Level-order concatenation of node descriptions; 2n - 1 bits.
 
-    Equal to flattening ``lo_traversal_st(children_description, t)``,
-    in one breadth-first pass without recursion."""
+    Equal to flattening ``spec.lo_traversal_st`` of each node's
+    ``spec.node_description``, in one breadth-first pass without
+    recursion."""
     bits: list[int] = []
     queue = [t]
     for node in queue:  # the loop walks the queue while it grows
@@ -178,85 +105,10 @@ def louds_encode(t: Tree) -> list[int]:
     return bits
 
 
-def with_super_root(t: Tree, label: Any = None) -> Tree:
-    """Wrap t under a one-child root, reproducing the classic "10"-prefixed layout."""
-    return Tree(label, (t,))
-
-
-def valid_position(t: Tree, p: Path) -> bool:
-    """True when each path step addresses an existing child."""
-    node = t
-    for step in p:
-        if not 0 <= step < len(node.children):
-            return False
-        node = node.children[step]
-    return True
-
-
-def subtree(t: Tree, p: Path) -> Tree:
-    node = t
-    for depth, step in enumerate(p):
-        if not 0 <= step < len(node.children):
-            raise ValueError(f"invalid path step {step} at depth {depth}")
-        node = node.children[step]
-    return node
-
-
-def children(t: Tree, p: Path) -> int:
-    """Child count of the node addressed by p."""
-    return len(subtree(t, p).children)
-
-
-def lo_traversal_lt(f_map: Callable[[Tree], Any], s: Forest, p: Path) -> list:
-    """Breadth-first traversal up to (excluding) the node addressed by p.
-
-    Works like the queue formulation of level-order traversal: the node
-    reached so far sits at the queue front; a step n outputs every
-    queued node plus the front's first n children, then continues with
-    the remaining children and the children of everything just output.
-    The path need not be valid; once it is at least as long as the
-    height, the output is the complete traversal.
-    """
-    out: list = []
-    queue = list(s)
-    for n in p:
-        if not queue:
-            break
-        head, rest = queue[0], queue[1:]
-        kids = list(head.children)
-        first, remaining = kids[:n], kids[n:]
-        out.extend(f_map(node) for node in queue)
-        out.extend(f_map(node) for node in first)
-        queue = remaining + children_of_forest(rest + first)
-    return out
-
-
-def lo_fringe(s: Forest, p: Path) -> list[Tree]:
-    """Queue state after consuming p: the forest generating the rest of
-    the traversal."""
-    queue = list(s)
-    for n in p:
-        if not queue:
-            return []
-        head, rest = queue[0], queue[1:]
-        kids = list(head.children)
-        first, remaining = kids[:n], kids[n:]
-        queue = remaining + children_of_forest(rest + first)
-    return queue
-
-
-def lo_index(s: Forest, p: Path) -> int:
-    """Number of nodes preceding p in traversal order (0-based)."""
-    return len(lo_traversal_lt(lambda t: t, s, p))
-
-
-def louds_lt(s: Forest, p: Path) -> list[int]:
-    return list(chain.from_iterable(lo_traversal_lt(children_description, s, p)))
-
-
-def louds_position(s: Forest, p: Path) -> int:
-    """0-based bit offset of p's node description in the encoding."""
-    return len(louds_lt(s, p))
+def with_super_root(t: Tree) -> Tree:
+    """Wrap t under a one-child root labelled None, reproducing the
+    classic "10"-prefixed layout."""
+    return Tree(None, (t,))
 
 
 def louds_children(bits: BitSeq, v: int) -> int:

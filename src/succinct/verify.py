@@ -14,14 +14,10 @@ from .louds import (
     Louds,
     Tree,
     height,
-    lo_traversal,
-    lo_traversal_lt,
-    lo_traversal_st,
     louds_child,
     louds_children,
     louds_encode,
     louds_parent,
-    louds_position,
     number_of_nodes,
 )
 from .oracle import (
@@ -33,6 +29,7 @@ from .oracle import (
     tree_navigate,
     update_at,
 )
+from .spec import lo_traversal, lo_traversal_lt, lo_traversal_st, louds_position
 
 __all__ = [
     "OPS",

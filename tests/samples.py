@@ -1,6 +1,7 @@
 """Shared fixture data: the worked examples every module is checked against."""
 
-from succinct import BLACK, RED, Leaf, Node, SizeBounds, Tree, parse_bits
+from succinct import SizeBounds, Tree, parse_bits
+from succinct.dynamic import BLACK, RED, Leaf, Node
 
 # 58-bit sample string with known rank/select answers.
 BITS58_TEXT = "1001 0100 1110 0100 1101 0000 1111 0100 1001 1001 0100 0100 0101 0101 10"

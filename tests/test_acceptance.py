@@ -16,25 +16,12 @@ from samples import (
     del_borrow_sample,
     del_merge_sample,
 )
-from succinct import (
-    SizeBounds,
-    ddelete,
-    dump,
-    height,
-    lo_traversal,
-    lo_traversal_lt,
-    lo_traversal_st,
-    louds_encode,
-    louds_position,
-    mzip,
-    number_of_nodes,
-    rank,
-    redblack_check,
-    select,
-    with_super_root,
-)
+from succinct import SizeBounds, dump, louds_encode, rank, select, with_super_root
 from succinct.dynamic import Node as DNode
+from succinct.dynamic import ddelete, redblack_check
+from succinct.louds import height, number_of_nodes
 from succinct.oracle import bfs_queue
+from succinct.spec import lo_traversal, lo_traversal_lt, lo_traversal_st, louds_position, mzip
 from succinct.verify import ScriptRunner, check_navigation, random_script, random_tree
 
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from samples import LOUDS21_TEXT, TREE10_TEXT, del_borrow_sample
-from succinct import dump, number_of_nodes
+from succinct import dump
+from succinct.louds import number_of_nodes
 from succinct.cli import main, parse_script, ScriptError
 from succinct.verify import ScriptRunner, VerifyError, random_script, random_tree
 from succinct import DynamicBitVector, SizeBounds, format_tree
@@ -353,7 +354,8 @@ class TestUnreadableInput:
         script.write_text("rank 0\n")
         return str(bad), str(script)
 
-    @pytest.mark.parametrize(
+    # the five command lines that read a file, {bad} standing for it
+    commands = pytest.mark.parametrize(
         "argv",
         [
             ["louds-build", "{bad}"],
@@ -365,11 +367,24 @@ class TestUnreadableInput:
         ids=["louds-build", "louds-query-verify", "louds-query-bits-file", "dbv-run-script",
              "dbv-run-init-tree"],
     )
+
+    @commands
     def test_non_utf8_file_exits_2(self, capsys, files, argv):
         bad, script = files
         code, out, err = run(capsys, *(a.format(bad=bad, script=script) for a in argv))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "UTF-8" in err
+
+    @commands
+    def test_malformed_file_is_named_in_the_error(self, capsys, tmp_path, files, argv):
+        """UTF-8 text that is no tree, bit string, script or dump: the
+        parse error names the file it came from."""
+        _, script = files
+        bad = tmp_path / "malformed.txt"
+        bad.write_text("(a x\n")
+        code, out, err = run(capsys, *(a.format(bad=bad, script=script) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}: ")
 
 
 @settings(
@@ -462,7 +477,7 @@ class TestRunnerDivergenceDetection:
             runner.step(("insert", 1, 1))
 
     def test_bad_initial_tree_is_detected(self):
-        from succinct import Leaf
+        from succinct.dynamic import Leaf
 
         bad = Leaf.of([1] * 100)  # beyond the leaf upper bound
         with pytest.raises(VerifyError):

@@ -8,14 +8,21 @@ from hypothesis import given, settings, strategies as st
 
 from samples import DBV40_FLAT, DEL_BOUNDS, dbv_sample, del_borrow_sample, del_merge_sample
 from succinct import (
+    BitVector,
+    DynamicBitVector,
+    SizeBounds,
+    dump,
+    from_bits,
+    parse_bits,
+    parse_dump,
+    select,
+)
+from succinct.dynamic import (
     BLACK,
     RED,
-    BitVector,
     Color,
-    DynamicBitVector,
     Leaf,
     Node,
-    SizeBounds,
     daccess,
     dclear,
     ddelete,
@@ -26,12 +33,7 @@ from succinct import (
     dselect1,
     dset,
     dsize,
-    dump,
-    from_bits,
-    parse_bits,
-    parse_dump,
     redblack_check,
-    select,
     wf_check,
 )
 import succinct.dynamic as dynamic_mod
@@ -98,6 +100,22 @@ class TestFlattenAndQueries:
             for k in range(len(flat) + 2):
                 assert dselect0(t, k) == oracle_select(0, k, flat)
                 assert dselect1(t, k) == oracle_select(1, k, flat)
+
+    def test_dselect_in_leaves_above_65536_bits(self):
+        """The in-leaf halving needs steps wider than 2^16 here."""
+        rng = random.Random(41)
+        bounds = SizeBounds(70_000, 140_000)
+        flat = [rng.getrandbits(1) for _ in range(200_000)]
+        t = from_bits(flat, bounds)
+        assert isinstance(t, Node) and wf_check(t, bounds)
+        assert min(t.left.length, t.right.length) > 65_536
+        for b, dselect in ((0, dselect0), (1, dselect1)):
+            count = flat.count(b)
+            ordinals = [0, 1, count, count + 1, *rng.sample(range(2, count), 20)]
+            for k in ordinals:
+                assert dselect(t, k) == oracle_select(b, k, flat), (b, k)
+            with pytest.raises(ValueError):
+                dselect(t, -1)
 
 
 class TestWellFormedness:

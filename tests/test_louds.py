@@ -9,32 +9,30 @@ from succinct import (
     Louds,
     Tree,
     TreeParseError,
+    format_tree,
+    louds_encode,
+    parse_tree,
+    select,
+    with_super_root,
+)
+from succinct.louds import height, louds_child, louds_children, louds_parent, number_of_nodes
+from succinct.oracle import bfs_queue
+from succinct.spec import (
     children,
     children_of_forest,
-    format_tree,
-    height,
     level_traversal,
     lo_fringe,
     lo_index,
     lo_traversal,
     lo_traversal_lt,
     lo_traversal_st,
-    louds_child,
-    louds_children,
-    louds_encode,
     louds_lt,
-    louds_parent,
     louds_position,
     mzip,
     node_description,
-    number_of_nodes,
-    parse_tree,
-    select,
     subtree,
     valid_position,
-    with_super_root,
 )
-from succinct.oracle import bfs_queue
 from succinct.verify import random_path, random_tree
 
 

@@ -1,0 +1,61 @@
+"""The package's public surface, and the names the benchmark looks up.
+
+perfbench/ wraps functions and methods by the names their callers look
+up; a name that moves away is only reported as absent, so these tests
+pin every one of them.
+"""
+
+import types
+
+import succinct
+from succinct import cli, dynamic, louds, spec, verify
+
+PUBLIC = {
+    "BitVector", "rank", "select", "succ", "pred", "parse_bits", "format_bits",
+    "Tree", "Louds", "TreeParseError", "parse_tree", "format_tree", "louds_encode",
+    "with_super_root",
+    "DynamicBitVector", "SizeBounds", "from_bits", "dump", "parse_dump",
+}
+
+SPEC = {
+    "Forest", "children_of_forest", "lo_traversal", "level_traversal", "mzip",
+    "lo_traversal_st", "node_description", "lo_traversal_lt", "lo_fringe", "lo_index",
+    "louds_lt", "louds_position", "valid_position", "subtree", "children",
+}
+
+BENCHMARK_LOOKUPS = {
+    louds: ["rank", "select", "succ", "pred", "parse_tree"],
+    louds.Louds: ["encode", "children", "child", "parent", "bits"],
+    dynamic: ["from_bits", "parse_dump", "Node", "Leaf", "RED"],
+    dynamic.DynamicBitVector: ["insert", "delete", "set", "clear", "rank", "select0", "select1",
+                               "access", "to_bits"],
+    cli: ["main", "parse_script", "parse_dump", "dump"],
+    verify: ["ScriptRunner", "dflatten", "oracle_rank", "oracle_select", "insert1", "delete_at",
+             "update_at"],
+}
+
+
+def test_top_level_names_are_exactly_the_public_api():
+    names = {
+        name
+        for name, value in vars(succinct).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert names == PUBLIC
+    assert sorted(succinct.__all__) == sorted(PUBLIC)
+
+
+def test_every_name_the_benchmark_looks_up_resolves():
+    missing = [
+        f"{owner.__name__}.{name}"
+        for owner, names in BENCHMARK_LOOKUPS.items()
+        for name in names
+        if not hasattr(owner, name)
+    ]
+    assert missing == []
+
+
+def test_the_formulations_live_in_spec_only():
+    assert set(spec.__all__) == SPEC
+    assert all(hasattr(spec, name) for name in SPEC)
+    assert not [name for name in SPEC if hasattr(louds, name)]
