@@ -78,6 +78,17 @@ def _bounds_arg(text: str) -> SizeBounds:
         raise argparse.ArgumentTypeError(f"bad bounds {text!r}: {e}") from None
 
 
+def _at_least(least: int):
+    """argparse type: an int no smaller than ``least``."""
+
+    def count(text: str) -> int:
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {text}")
+        return int(text)
+
+    return count
+
+
 def _path_arg(text: str) -> list[int]:
     text = text.strip()
     if not text:
@@ -276,10 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="randomized self-check against the oracles")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trees", type=int, default=25)
-    p.add_argument("--max-nodes", type=int, default=40)
-    p.add_argument("--scripts", type=int, default=10)
-    p.add_argument("--ops", type=int, default=200)
+    p.add_argument("--trees", type=_at_least(0), default=25)
+    p.add_argument("--max-nodes", type=_at_least(1), default=40)
+    p.add_argument("--scripts", type=_at_least(0), default=10)
+    p.add_argument("--ops", type=_at_least(0), default=200)
     p.add_argument("--bounds", type=_bounds_arg, help="leaf bounds as low,high (default 8,32)")
     p.set_defaults(func=_cmd_verify)
 

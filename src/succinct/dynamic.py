@@ -424,118 +424,87 @@ def dclear(t: DTree, i: int) -> tuple[DTree, bool]:
 # ---------------------------------------------------------------------------
 # deletion
 #
-# Underflow repairs when deleting from a leaf that sits at the lower
-# size bound.  The sibling configurations are forced by the red-black
-# invariant: a leaf has black height 0, so the sibling of a leaf is
-# either a leaf or a red node with two leaf children.
-#
-#   target      sibling                     repair
-#   ---------   -------------------------   -----------------------------------
-#   left leaf   leaf with > low bits        borrow the sibling's first bit
-#   left leaf   leaf with = low bits        merge both leaves; a black parent
-#                                           reports a black-height drop
-#   left leaf   red(l1, l2), len(l1) > low  rotate: parent keeps its children
-#                                           as red(target+l1[0], rest of l1)
-#                                           and l2
-#   left leaf   red(l1, l2), len(l1) = low  merge target into l1, promote l2
-#   right leaf  (the four mirrored cases, borrowing the last bit / merging
-#               with the nearest leaf on the left)
-#
-# _ddel and the leaf cases return the plain triple (tree, down, bit):
+# Deleting a bit leaves a subtree short in one of two ways: a leaf that
+# held ``low`` bits falls one bit under the size window, or a subtree
+# loses one level of black height.  _ddel takes the bit out of a leaf
+# child itself and hands its parent the plain triple (tree, short, bit):
 # the rebuilt subtree, whether its black height dropped by one, and the
 # removed bit, which each ancestor subtracts from its 1-count on the way
-# back up.  A drop in a deeper subtree is repaired by _fix_left_short /
-# _fix_right_short: a red nephew takes insertion's rotation (_lift_l /
-# _lift_r) under the parent's color, otherwise the sibling is recolored,
-# rebuilding (num, ones) from existing metadata only.
+# back up.  _fix_left_short / _fix_right_short repair either shortfall,
+# rebuilding (num, ones) from existing metadata only, and the red-black
+# invariant lets the sibling alone pick the repair: a leaf has black
+# height 0, so the sibling of a short leaf is a leaf or a red node over
+# two leaves, while a subtree that lost a black level had one to lose,
+# so its sibling is a node.
 
-_Step = tuple[DTree, bool, int]
+_Fixed = tuple[DTree, bool]
 
 
-def _del_left_leaf(c: Color, l: Leaf, num: int, ones: int, r: DTree, i: int, low: int) -> _Step:
-    b = l.word >> i & 1
-    shrunk = _without(l, i)
-    if l.length > low:
-        return Node(c, shrunk, num - 1, ones - b, r), False, b
+def _fix_left_short(c: Color, l: DTree, num: int, ones: int, r: DTree, low: int) -> _Fixed:
+    """Rebuild a node of color c whose left subtree ``l`` (num bits,
+    ones 1s) is short, with the fixed tree and whether it is one black
+    level short in turn.  By the sibling ``r``:
+
+    - a leaf lends its first bit if it holds more than ``low`` bits,
+      else both leaves merge, one black level short under a black c;
+    - a red node rotates above c, and the repair runs under it with c
+      red beside its left child;
+    - a black node lifts a red nephew with insertion's rotation under
+      color c, else turns red, one black level short under a black c.
+    """
     if isinstance(r, Leaf):
         if r.length > low:
             head, rest = _split(r, 1)
-            return Node(c, _join(shrunk, head), num, ones - b + head.word, rest), False, b
-        return _join(shrunk, r), c is BLACK, b
-    rl, rr = r.left, r.right
-    if rl.length > low:
-        head, rest = _split(rl, 1)
-        inner = Node(RED, _join(shrunk, head), num, ones - b + head.word, rest)
-        return Node(c, inner, num - 1 + r.num, ones - b + r.ones, rr), False, b
-    merged = Node(c, _join(shrunk, rl), num - 1 + r.num, ones - b + r.ones, rr)
-    return merged, False, b
+            return Node(c, _join(l, head), num + 1, ones + head.word, rest), False
+        return _join(l, r), c is BLACK
+    if r.color is RED:
+        inner, short = _fix_left_short(RED, l, num, ones, r.left, low)
+        return Node(BLACK, inner, num + r.num, ones + r.ones, r.right), short
+    lifted = _lift_r(c, l, num, ones, r)
+    if lifted is not None:
+        return lifted, False
+    return Node(BLACK, l, num, ones, Node(RED, r.left, r.num, r.ones, r.right)), c is BLACK
 
 
-def _del_right_leaf(c: Color, l: DTree, num: int, ones: int, r: Leaf, j: int, low: int) -> _Step:
-    b = r.word >> j & 1
-    shrunk = _without(r, j)
-    if r.length > low:
-        return Node(c, l, num, ones, shrunk), False, b
+def _fix_right_short(c: Color, l: DTree, num: int, ones: int, r: DTree, low: int) -> _Fixed:
+    """Mirror of _fix_left_short for a short right subtree ``r``; num and
+    ones describe the sibling ``l``, and a leaf there lends its last bit."""
     if isinstance(l, Leaf):
         if l.length > low:
-            rest, tail = _split(l, l.length - 1)
-            return Node(c, rest, num - 1, ones - tail.word, _join(tail, shrunk)), False, b
-        return _join(l, shrunk), c is BLACK, b
-    ll, lr = l.left, l.right
-    if lr.length > low:
-        rest, tail = _split(lr, lr.length - 1)
-        inner = Node(RED, ll, l.num, l.ones, rest)
-        outer = Node(c, inner, num - 1, ones - tail.word, _join(tail, shrunk))
-        return outer, False, b
-    return Node(c, ll, l.num, l.ones, _join(lr, shrunk)), False, b
+            rest, tail = _split(l, num - 1)
+            return Node(c, rest, num - 1, ones - tail.word, _join(tail, r)), False
+        return _join(l, r), c is BLACK
+    if l.color is RED:
+        inner, short = _fix_right_short(RED, l.right, num - l.num, ones - l.ones, r, low)
+        return Node(BLACK, l.left, l.num, l.ones, inner), short
+    lifted = _lift_l(c, l, num, ones, r)
+    if lifted is not None:
+        return lifted, False
+    return Node(BLACK, Node(RED, l.left, l.num, l.ones, l.right), num, ones, r), c is BLACK
 
 
-def _fix_left_short(c: Color, l: DTree, num: int, ones: int, r: Node) -> tuple[DTree, bool]:
-    """Rebuild a node whose left subtree is one black level short.
-
-    Returns the fixed tree plus a flag saying the deficit escaped
-    upward (possible only under a black parent with an all-black
-    sibling side).
-    """
-    if r.color is BLACK:
-        lifted = _lift_r(c, l, num, ones, r)
-        if lifted is not None:
-            return lifted, False
-        return Node(BLACK, l, num, ones, Node(RED, r.left, r.num, r.ones, r.right)), c is BLACK
-    # red sibling: rotate it above and resolve under a red parent
-    inner, down = _fix_left_short(RED, l, num, ones, r.left)
-    return Node(BLACK, inner, num + r.num, ones + r.ones, r.right), down
-
-
-def _fix_right_short(c: Color, l: Node, num: int, ones: int, r: DTree) -> tuple[DTree, bool]:
-    """Mirror of _fix_left_short for a right-side deficit."""
-    if l.color is BLACK:
-        lifted = _lift_l(c, l, num, ones, r)
-        if lifted is not None:
-            return lifted, False
-        return Node(BLACK, Node(RED, l.left, l.num, l.ones, l.right), num, ones, r), c is BLACK
-    inner, down = _fix_right_short(RED, l.right, num - l.num, ones - l.ones, r)
-    return Node(BLACK, l.left, l.num, l.ones, inner), down
-
-
-def _ddel(t: Node, i: int, low: int) -> _Step:
+def _ddel(t: Node, i: int, low: int) -> tuple[DTree, bool, int]:
     """Delete bit i below a node of a well-formed red-black tree."""
     c, l, num, ones, r = t.color, t.left, t.num, t.ones, t.right
     if i < num:
         if isinstance(l, Leaf):
-            return _del_left_leaf(c, l, num, ones, r, i, low)
-        l, down, b = _ddel(l, i, low)
-        if down:
-            fixed, down = _fix_left_short(c, l, num - 1, ones - b, r)
-            return fixed, down, b
+            b, short = l.word >> i & 1, l.length <= low
+            l = _without(l, i)
+        else:
+            l, short, b = _ddel(l, i, low)
+        if short:
+            fixed, short = _fix_left_short(c, l, num - 1, ones - b, r, low)
+            return fixed, short, b
         return Node(c, l, num - 1, ones - b, r), False, b
     j = i - num
     if isinstance(r, Leaf):
-        return _del_right_leaf(c, l, num, ones, r, j, low)
-    r, down, b = _ddel(r, j, low)
-    if down:
-        fixed, down = _fix_right_short(c, l, num, ones, r)
-        return fixed, down, b
+        b, short = r.word >> j & 1, r.length <= low
+        r = _without(r, j)
+    else:
+        r, short, b = _ddel(r, j, low)
+    if short:
+        fixed, short = _fix_right_short(c, l, num, ones, r, low)
+        return fixed, short, b
     return Node(c, l, num, ones, r), False, b
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Any, Sequence
 
 from .bitvec import BitSeq, BitVector, pred, rank, select, succ
@@ -131,19 +131,25 @@ def louds_parent(bits: BitSeq, v: int) -> int:
 class Louds:
     """A LOUDS bit sequence with validity-checked navigation.
 
-    Built from a ``BitVector`` or any bit sequence; the bits are kept
-    only in the vector.  Navigation uses the raw formulas above with
-    the vector's rank/select/succ/pred in place of the free functions.  The
-    raw formulas are total and answer garbage for bit indices that do
-    not start a node description; this wrapper rejects those loudly
-    instead.
+    Built from a ``BitVector``, trusted as given, or from any bit
+    sequence, which must encode some tree or ``ValueError`` is raised;
+    the bits are kept only in the vector.  Navigation uses the raw
+    formulas above with the vector's rank/select/succ/pred in place of
+    the free functions.  The raw formulas are total and answer garbage
+    for bit indices that do not start a node description; this wrapper
+    rejects those loudly instead.
     """
 
     vector: BitVector
 
     def __post_init__(self):
         if not isinstance(self.vector, BitVector):
-            object.__setattr__(self, "vector", BitVector(self.vector))
+            vector = BitVector(self.vector)
+            # nodes found but not yet described, before each bit and after the last
+            pending = list(accumulate((2 * bit - 1 for bit in vector), initial=1))
+            if pending[-1] or 0 in pending[:-1]:
+                raise ValueError("the bits are not the LOUDS encoding of a tree")
+            object.__setattr__(self, "vector", vector)
 
     @classmethod
     def encode(cls, t: Tree) -> "Louds":

@@ -203,10 +203,9 @@ class ScriptRunner:
             raise ValueError(f"{kind} takes {arity} argument(s), got {len(op) - 1}")
         method = getattr(self.vector, kind)
         result = method(op[1], op[2]) if arity == 2 else method(op[1])
-        if self.verify:
-            self._mirror(op, result)
         self.steps += 1
         if self.verify:
+            self._mirror(op, result)
             self._check_invariants(op)
         return result if kind in QUERIES else None
 

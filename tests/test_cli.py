@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from samples import LOUDS21_TEXT, TREE10_TEXT, del_borrow_sample
 from succinct import dump
+from succinct.dynamic import Leaf
 from succinct.louds import number_of_nodes
 from succinct.cli import main, parse_script, ScriptError
 from succinct.verify import ScriptRunner, VerifyError, random_script, random_tree
@@ -111,6 +112,19 @@ class TestLoudsQuery:
     def test_malformed_bits(self, capsys):
         code, _, err = run(capsys, "louds-query", "children", "10x", "--pos", "0")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["child", "1111", "--pos", "0", "--index", "2"],
+            ["parent", "0000", "--pos", "2"],
+            ["children", "0110", "--pos", "0"],
+        ],
+    )
+    def test_bits_that_encode_no_tree_are_rejected(self, capsys, argv):
+        code, out, err = run(capsys, "louds-query", *argv)
+        assert (code, out) == (2, "")
+        assert "not the LOUDS encoding" in err and "Traceback" not in err
 
     def test_verify_against_tree(self, capsys, tree_file):
         code, out, _ = run(
@@ -449,6 +463,22 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--trees", "0", "--scripts", "1", "--ops", "50")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--max-nodes", "0"], "--max-nodes: must be at least 1"),
+            (["--ops", "-3"], "--ops: must be at least 0"),
+            (["--trees", "-1"], "--trees: must be at least 0"),
+            (["--scripts", "-1"], "--scripts: must be at least 0"),
+        ],
+    )
+    def test_bad_counts_are_usage_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", *argv])
+        err = capsys.readouterr().err
+        assert exit_.value.code == 2
+        assert "usage:" in err and message in err
+
 
 class TestScriptParsing:
     def test_comments_and_blanks_are_skipped(self):
@@ -475,6 +505,14 @@ class TestRunnerDivergenceDetection:
         runner.flat = [0]  # corrupt the oracle state
         with pytest.raises(VerifyError):
             runner.step(("insert", 1, 1))
+
+    @pytest.mark.parametrize("op", [("access", 0), ("insert", 0, 1)])
+    def test_failures_on_the_first_op_name_step_1(self, op):
+        # a query mismatch and a contents failure number the op alike
+        runner = ScriptRunner(SizeBounds(8, 32), verify=True, tree=Leaf.of([0]))
+        runner.flat = [1]  # corrupt the oracle state
+        with pytest.raises(VerifyError, match=r"^step 1 "):
+            runner.step(op)
 
     def test_bad_initial_tree_is_detected(self):
         from succinct.dynamic import Leaf

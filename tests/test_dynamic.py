@@ -286,6 +286,24 @@ class TestDelete:
             ]
         )
 
+    def test_right_borrow_through_red_sibling_mirrors_the_left(self):
+        # the short right leaf borrows the last bit of the red sibling's
+        # right leaf; the red node moves down to the right, as on the left
+        before = Node(
+            BLACK, Node(RED, Leaf.of(b("111")), 3, 3, Leaf.of(b("1101"))), 7, 6, Leaf.of(b("001"))
+        )
+        got = ddelete(before, 8, DEL_BOUNDS)
+        assert dump(got) == "\n".join(
+            [
+                "(Black num=3 ones=3",
+                '  (leaf "111")',
+                "  (Red num=3 ones=2",
+                '    (leaf "110")',
+                '    (leaf "101")))',
+            ]
+        )
+        check_state(got, b("111110101"), DEL_BOUNDS)
+
     def test_delete_to_empty_leaf(self):
         t = from_bits(b("1"), BOUNDS)
         assert ddelete(t, 0, BOUNDS) == Leaf.of([])
@@ -368,7 +386,7 @@ class TestDeletedBalance:
                 short = _random_redblack(rng, bh - 1, RED, low, high)
                 sibling = _random_redblack(rng, bh, BLACK, low, high)
             num, ones = dsize(short), dflatten(short).count(1)
-            tree, down = _fix_left_short(parent_color, short, num, ones, sibling)
+            tree, down = _fix_left_short(parent_color, short, num, ones, sibling, low)
             assert dflatten(tree) == dflatten(short) + dflatten(sibling)
             # a black node's rebuild stays valid in any context; a red
             # node's rebuild is valid under its (black) parent; a drop
@@ -376,6 +394,20 @@ class TestDeletedBalance:
             expected_bh = bh + (1 if parent_color is BLACK else 0)
             context = RED if parent_color is BLACK else BLACK
             assert redblack_check(tree, RED if down else context) == expected_bh - down
+            assert wf_check(tree, SizeBounds(low, high))
+        # a leaf one bit under low beside a leaf, or beside a red node
+        # over two leaves under a black parent: only merging two leaves
+        # under a black parent drops a level
+        for _ in range(100):
+            short = Leaf.of([rng.randint(0, 1) for _ in range(low - 1)])
+            sibling = _random_redblack(rng, 0, parent_color, low, high)
+            num, ones = dsize(short), dflatten(short).count(1)
+            tree, down = _fix_left_short(parent_color, short, num, ones, sibling, low)
+            assert dflatten(tree) == dflatten(short) + dflatten(sibling)
+            merged = isinstance(sibling, Leaf) and sibling.length == low
+            assert down == (merged and parent_color is BLACK)
+            context = RED if parent_color is BLACK else BLACK
+            assert redblack_check(tree, RED if down else context) == (parent_color is BLACK) - down
             assert wf_check(tree, SizeBounds(low, high))
 
     @pytest.mark.parametrize("parent_color", [RED, BLACK])
@@ -388,11 +420,22 @@ class TestDeletedBalance:
             sibling = _random_redblack(rng, bh, context, low, high)
             short = _random_redblack(rng, bh - 1, RED, low, high)
             num, ones = dsize(sibling), dflatten(sibling).count(1)
-            tree, down = _fix_right_short(parent_color, sibling, num, ones, short)
+            tree, down = _fix_right_short(parent_color, sibling, num, ones, short, low)
             assert dflatten(tree) == dflatten(sibling) + dflatten(short)
             expected_bh = bh + (1 if parent_color is BLACK else 0)
             context = RED if parent_color is BLACK else BLACK
             assert redblack_check(tree, RED if down else context) == expected_bh - down
+            assert wf_check(tree, SizeBounds(low, high))
+        for _ in range(100):
+            short = Leaf.of([rng.randint(0, 1) for _ in range(low - 1)])
+            sibling = _random_redblack(rng, 0, parent_color, low, high)
+            num, ones = dsize(sibling), dflatten(sibling).count(1)
+            tree, down = _fix_right_short(parent_color, sibling, num, ones, short, low)
+            assert dflatten(tree) == dflatten(sibling) + dflatten(short)
+            merged = isinstance(sibling, Leaf) and sibling.length == low
+            assert down == (merged and parent_color is BLACK)
+            context = RED if parent_color is BLACK else BLACK
+            assert redblack_check(tree, RED if down else context) == (parent_color is BLACK) - down
             assert wf_check(tree, SizeBounds(low, high))
 
     @pytest.mark.parametrize("parent_color", [RED, BLACK])
@@ -406,14 +449,14 @@ class TestDeletedBalance:
         short = Leaf.of(b("1000"))
 
         sibling = Node(BLACK, inner, 6, 3, outer)
-        tree, down = _fix_left_short(parent_color, short, 4, 1, sibling)
+        tree, down = _fix_left_short(parent_color, short, 4, 1, sibling, 3)
         assert tree == Node(
             parent_color, Node(BLACK, short, 4, 1, inner), 10, 4, Node(BLACK, d, 3, 1, e)
         )
         assert down is False
 
         sibling = Node(BLACK, outer, 6, 4, inner)
-        tree, down = _fix_right_short(parent_color, sibling, 12, 7, short)
+        tree, down = _fix_right_short(parent_color, sibling, 12, 7, short, 3)
         assert tree == Node(
             parent_color, Node(BLACK, d, 3, 1, e), 6, 4, Node(BLACK, inner, 6, 3, short)
         )

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -252,7 +253,37 @@ class TestCheckedLayer:
         assert len(nav) == len(LOUDS21)
         assert nav == Louds(tuple(LOUDS21)) == Louds(BitVector(LOUDS21))
         assert hash(nav) == hash(Louds.encode(with_super_root(TREE10)))
-        assert nav != Louds(LOUDS21[:-2])
+        assert nav != Louds.encode(TREE10)
+        with pytest.raises(ValueError):
+            Louds(LOUDS21[:-2])
+
+    def test_accepts_exactly_the_encodings_of_trees(self):
+        # every bit string of up to 13 bits against the encodings of every
+        # ordered tree of up to 7 nodes, Catalan(n - 1) trees of n nodes
+        def trees(n):
+            return [Tree(None, kids) for kids in forests(n - 1)]
+
+        def forests(n):
+            if n == 0:
+                return [()]
+            return [
+                (first, *rest)
+                for k in range(1, n + 1)
+                for first in trees(k)
+                for rest in forests(n - k)
+            ]
+
+        encodings = {tuple(louds_encode(t)) for n in range(1, 8) for t in trees(n)}
+        assert len(encodings) == 197
+        accepted = set()
+        for length in range(14):
+            for bits in itertools.product((0, 1), repeat=length):
+                try:
+                    Louds(bits)
+                except ValueError:
+                    continue
+                accepted.add(bits)
+        assert accepted == encodings
 
     def test_is_immutable(self):
         nav = Louds(LOUDS21)
