@@ -140,6 +140,8 @@ def _load_bits(args) -> list[int]:
 
 
 def _cmd_louds_query(args) -> int:
+    if args.verify is None and (args.path is not None or args.super_root):
+        return _fail("--path and --super-root only apply with --verify", 2)
     try:
         nav = Louds(_load_bits(args))
         if args.op == "children":

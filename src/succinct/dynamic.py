@@ -11,6 +11,8 @@ right without touching the bits.  Leaves hold between ``low`` and
 ``high`` on insertion splits in two, and a leaf that would drop below
 ``low`` on deletion borrows a bit from a sibling leaf or merges with it.
 ``from_bits`` builds a balanced tree of evenly filled leaves in O(n).
+Every operation walks from the root to one leaf once: an index past
+either end steers to the end leaf, whose offset check is the range check.
 
 Updates are purely functional: they return new trees that share all
 untouched subtrees with the input.  ``dflatten`` defines the meaning of
@@ -220,15 +222,16 @@ def dselect0(t: DTree, i: int) -> int:
 
 
 def daccess(t: DTree, i: int) -> int:
-    if i < 0 or i >= dsize(t):
-        raise IndexError(f"bit index {i} out of range")
+    j = i
     while isinstance(t, Node):
-        if i < t.num:
+        if j < t.num:
             t = t.left
         else:
-            i -= t.num
+            j -= t.num
             t = t.right
-    return t.word >> i & 1
+    if not 0 <= j < t.length:
+        raise IndexError(f"bit index {i} out of range")
+    return t.word >> j & 1
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +292,6 @@ def redblack_check(t: DTree, context: Color = RED) -> int | None:
 
 # ---------------------------------------------------------------------------
 # insertion
-
-
-def _ins_leaf(leaf: Leaf, b: int, i: int, bounds: SizeBounds) -> DTree:
-    word = leaf.word
-    grown = Leaf(word & ((1 << i) - 1) | b << i | word >> i << (i + 1), leaf.length + 1)
-    if grown.length == bounds.high:
-        left, right = _split(grown, (bounds.high + 1) // 2)
-        return Node(RED, left, left.length, left.word.bit_count(), right)
-    return grown
 
 
 def _lift_l(c: Color, l: Node, num: int, ones: int, r: DTree) -> Node | None:
@@ -365,8 +359,18 @@ def _balance_r(c: Color, l: DTree, num: int, ones: int, r: DTree) -> DTree:
 
 
 def _dins(t: DTree, b: int, i: int, bounds: SizeBounds) -> DTree:
+    """Insert bit b at offset i; the leaf checks i first, then b."""
     if isinstance(t, Leaf):
-        return _ins_leaf(t, b, i, bounds)
+        if not 0 <= i <= t.length:
+            raise IndexError("insert position out of range")
+        if not (isinstance(b, int) and 0 <= b <= 1):
+            raise ValueError(f"bit must be 0 or 1, got {b!r}")
+        word = t.word
+        grown = Leaf(word & ((1 << i) - 1) | b << i | word >> i << (i + 1), t.length + 1)
+        if grown.length == bounds.high:
+            left, right = _split(grown, (bounds.high + 1) // 2)
+            return Node(RED, left, left.length, left.word.bit_count(), right)
+        return grown
     if i < t.num:
         return _balance_l(t.color, _dins(t.left, b, i, bounds), t.num + 1, t.ones + b, t.right)
     return _balance_r(t.color, t.left, t.num, t.ones, _dins(t.right, b, i - t.num, bounds))
@@ -375,10 +379,6 @@ def _dins(t: DTree, b: int, i: int, bounds: SizeBounds) -> DTree:
 def dinsert(t: DTree, b: int, i: int, bounds: SizeBounds) -> DTree:
     """Insert bit b (0 or 1, bools included) at position i
     (0 <= i <= size); the root is repainted black afterwards."""
-    if not 0 <= i <= dsize(t):
-        raise IndexError(f"insert position {i} out of range")
-    if not (isinstance(b, int) and 0 <= b <= 1):
-        raise ValueError(f"bit must be 0 or 1, got {b!r}")
     root = _dins(t, b, i, bounds)
     if isinstance(root, Node) and root.color is RED:
         return Node(BLACK, root.left, root.num, root.ones, root.right)
@@ -391,6 +391,8 @@ def dinsert(t: DTree, b: int, i: int, bounds: SizeBounds) -> DTree:
 
 def _dset(t: DTree, i: int, value: int) -> tuple[DTree, bool]:
     if isinstance(t, Leaf):
+        if not 0 <= i < t.length:
+            raise IndexError("bit index out of range")
         if t.word >> i & 1 == value:
             return t, False
         return Leaf(t.word ^ 1 << i, t.length), True
@@ -409,15 +411,11 @@ def _dset(t: DTree, i: int, value: int) -> tuple[DTree, bool]:
 def dset(t: DTree, i: int) -> tuple[DTree, bool]:
     """Set bit i to 1; reports whether anything changed.  Shape, colors
     and untouched metadata are preserved."""
-    if i < 0 or i >= dsize(t):
-        raise IndexError(f"bit index {i} out of range")
     return _dset(t, i, 1)
 
 
 def dclear(t: DTree, i: int) -> tuple[DTree, bool]:
     """Clear bit i to 0; reports whether anything changed."""
-    if i < 0 or i >= dsize(t):
-        raise IndexError(f"bit index {i} out of range")
     return _dset(t, i, 0)
 
 
@@ -426,16 +424,16 @@ def dclear(t: DTree, i: int) -> tuple[DTree, bool]:
 #
 # Deleting a bit leaves a subtree short in one of two ways: a leaf that
 # held ``low`` bits falls one bit under the size window, or a subtree
-# loses one level of black height.  _ddel takes the bit out of a leaf
-# child itself and hands its parent the plain triple (tree, short, bit):
-# the rebuilt subtree, whether its black height dropped by one, and the
-# removed bit, which each ancestor subtracts from its 1-count on the way
-# back up.  _fix_left_short / _fix_right_short repair either shortfall,
-# rebuilding (num, ones) from existing metadata only, and the red-black
-# invariant lets the sibling alone pick the repair: a leaf has black
-# height 0, so the sibling of a short leaf is a leaf or a red node over
-# two leaves, while a subtree that lost a black level had one to lose,
-# so its sibling is a node.
+# loses one level of black height.  _ddel returns (tree, short, bit):
+# the rebuilt subtree, whether it is short, and the removed bit, which
+# each ancestor subtracts from its 1-count on the way back up.  Its
+# first case, a leaf, is the one place a bit is taken out and the offset
+# checked; ddelete ignores a lone root leaf's short.  _fix_left_short /
+# _fix_right_short repair either shortfall, rebuilding (num, ones) from
+# existing metadata only, and the red-black invariant lets the sibling
+# alone pick the repair: a leaf has black height 0, so the sibling of a
+# short leaf is a leaf or a red node over two leaves, while a subtree
+# that lost a black level had one to lose, so its sibling is a node.
 
 _Fixed = tuple[DTree, bool]
 
@@ -483,25 +481,20 @@ def _fix_right_short(c: Color, l: DTree, num: int, ones: int, r: DTree, low: int
     return Node(BLACK, Node(RED, l.left, l.num, l.ones, l.right), num, ones, r), c is BLACK
 
 
-def _ddel(t: Node, i: int, low: int) -> tuple[DTree, bool, int]:
-    """Delete bit i below a node of a well-formed red-black tree."""
+def _ddel(t: DTree, i: int, low: int) -> tuple[DTree, bool, int]:
+    """Delete bit i of a subtree of a well-formed red-black tree."""
+    if isinstance(t, Leaf):
+        if not 0 <= i < t.length:
+            raise IndexError("delete position out of range")
+        return _without(t, i), t.length <= low, t.word >> i & 1
     c, l, num, ones, r = t.color, t.left, t.num, t.ones, t.right
     if i < num:
-        if isinstance(l, Leaf):
-            b, short = l.word >> i & 1, l.length <= low
-            l = _without(l, i)
-        else:
-            l, short, b = _ddel(l, i, low)
+        l, short, b = _ddel(l, i, low)
         if short:
             fixed, short = _fix_left_short(c, l, num - 1, ones - b, r, low)
             return fixed, short, b
         return Node(c, l, num - 1, ones - b, r), False, b
-    j = i - num
-    if isinstance(r, Leaf):
-        b, short = r.word >> j & 1, r.length <= low
-        r = _without(r, j)
-    else:
-        r, short, b = _ddel(r, j, low)
+    r, short, b = _ddel(r, i - num, low)
     if short:
         fixed, short = _fix_right_short(c, l, num, ones, r, low)
         return fixed, short, b
@@ -510,11 +503,6 @@ def _ddel(t: Node, i: int, low: int) -> tuple[DTree, bool, int]:
 
 def ddelete(t: DTree, i: int, bounds: SizeBounds) -> DTree:
     """Delete bit i (0 <= i < size)."""
-    if not 0 <= i < dsize(t):
-        raise IndexError(f"delete position {i} out of range")
-    if isinstance(t, Leaf):
-        # only the root can be a bare leaf
-        return _without(t, i)
     return _ddel(t, i, bounds.low)[0]
 
 

@@ -204,9 +204,10 @@ class TreeParseError(ValueError):
         self.column = column
 
 
-# one token: a parenthesis or a label, a maximal run of anything else
-# that is not whitespace
-_TREE_TOKEN = re.compile(r"[()]|[^\s()]+")
+# a label is a run of anything but whitespace and parentheses, and one
+# token is a parenthesis or a maximal such run
+_LABEL = re.compile(r"[^\s()]+")
+_TREE_TOKEN = re.compile(r"[()]|" + _LABEL.pattern)
 
 
 def _parse_error(text: str, k: int, message: str) -> TreeParseError:
@@ -252,8 +253,9 @@ def parse_tree(text: str) -> Tree:
 
 def format_tree(t: Tree) -> str:
     """The parenthesized form ``parse_tree`` reads, ``_`` for a None
-    label.  Walks an explicit stack of nodes and pending separators, so
-    any depth is safe."""
+    label; a label that would not read back as one token, empty or with
+    whitespace or a parenthesis, raises ValueError.  Walks an explicit
+    stack of nodes and pending separators, so any depth is safe."""
     parts: list[str] = []
     stack: list[Tree | str] = [t]
     while stack:
@@ -261,7 +263,10 @@ def format_tree(t: Tree) -> str:
         if isinstance(item, str):
             parts.append(item)
             continue
-        parts.append("(_" if item.label is None else "(" + str(item.label))
+        label = "_" if item.label is None else str(item.label)
+        if not _LABEL.fullmatch(label):
+            raise ValueError(f"label {item.label!r} cannot be written as tree text")
+        parts.append("(" + label)
         stack.append(")")
         for child in reversed(item.children):
             stack += (child, " ")

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# what --time adds to stderr, and all it adds
+TIME_LINE = re.compile(r"time: \d+\.\d{6}s\n")
 
 
 class TestLoudsBuild:
@@ -67,6 +72,12 @@ class TestLoudsBuild:
         code, out, _ = run(capsys, "louds-build", str(path))
         assert code == 0
         assert out.strip() == "10" * (n - 1) + "0"
+
+    def test_time_goes_to_stderr_alone(self, capsys, tree_file):
+        _, plain, _ = run(capsys, "louds-build", tree_file)
+        code, out, err = run(capsys, "louds-build", tree_file, "--time")
+        assert (code, out) == (0, plain)
+        assert TIME_LINE.fullmatch(err)
 
     def test_size_law_on_random_files(self, capsys, tmp_path):
         import random
@@ -191,6 +202,12 @@ class TestLoudsQuery:
         )
         assert (code, out.strip()) == (0, "10")
 
+    @pytest.mark.parametrize("option", [["--path", "0,2,1"], ["--super-root"]])
+    def test_verify_options_need_verify(self, capsys, option):
+        code, out, err = run(capsys, "louds-query", "parent", LOUDS21_TEXT, "--pos", "17", *option)
+        assert (code, out) == (2, "")
+        assert "--verify" in err and "Traceback" not in err
+
 
 class TestDbvRun:
     def test_small_script(self, capsys, tmp_path):
@@ -205,6 +222,14 @@ class TestDbvRun:
         code, out, _ = run(capsys, "dbv-run", str(path))
         assert code == 0
         assert out.splitlines() == ["1", "1", "0"]
+
+    def test_time_goes_to_stderr_alone(self, capsys, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("insert 0 1\ninsert 1 0\nrank 2\nselect0 1\n")
+        _, plain, _ = run(capsys, "dbv-run", str(path), "--dump")
+        code, out, err = run(capsys, "dbv-run", str(path), "--dump", "--time")
+        assert (code, out) == (0, plain)
+        assert TIME_LINE.fullmatch(err)
 
     def test_unknown_op_aborts_with_line_number(self, capsys, tmp_path):
         path = tmp_path / "s.txt"

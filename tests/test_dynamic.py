@@ -19,6 +19,7 @@ from succinct import (
 )
 from succinct.dynamic import (
     BLACK,
+    DEFAULT_BOUNDS,
     RED,
     Color,
     Leaf,
@@ -790,3 +791,96 @@ class TestBitRule:
         assert DynamicBitVector(bits, bounds=BOUNDS).to_bits() == [1, 0, 1, 1]
         t = dinsert(dinsert(Leaf.of([0]), True, 1, BOUNDS), False, 0, BOUNDS)
         assert t == Leaf.of([0, 0, 1])
+
+
+# ---------------------------------------------------------------------------
+# out-of-range indices: every walk steers an index past either end to the
+# end leaf, and the check there raises
+
+LEAF_CHECK_BOUNDS = [SizeBounds(1, 2), SizeBounds(3, 8), DEFAULT_BOUNDS]
+
+
+def _deep_bits(bounds):
+    """Bits whose bulk build has every leaf at depth 3 or more."""
+    rng = random.Random(bounds.high)
+    bits = [rng.getrandbits(1) for _ in range(8 * bounds.high)]
+    depths = [depth for depth, node in _levels(from_bits(bits, bounds)) if isinstance(node, Leaf)]
+    assert min(depths) >= 3
+    return bits
+
+
+def _outcome(f, *args):
+    """f(*args), or IndexError if it raises one."""
+    try:
+        return f(*args)
+    except IndexError:
+        return IndexError
+
+
+def _flat_access(s, i):
+    if not 0 <= i < len(s):
+        raise IndexError(f"bit index {i} out of range")
+    return s[i]
+
+
+class TestIndexChecksAtTheLeaf:
+    @pytest.mark.parametrize("bounds", LEAF_CHECK_BOUNDS, ids=str)
+    def test_free_functions_reject_both_ends(self, bounds):
+        t = from_bits(_deep_bits(bounds), bounds)
+        n = dsize(t)
+        for i in (-1, n + 1):
+            with pytest.raises(IndexError):
+                dinsert(t, 1, i, bounds)
+        for i in (-1, n):
+            with pytest.raises(IndexError):
+                ddelete(t, i, bounds)
+            with pytest.raises(IndexError):
+                dset(t, i)
+            with pytest.raises(IndexError):
+                dclear(t, i)
+            with pytest.raises(IndexError):
+                daccess(t, i)
+
+    @pytest.mark.parametrize("bounds", LEAF_CHECK_BOUNDS, ids=str)
+    def test_vector_keeps_its_tree_after_each_error(self, bounds):
+        vec = DynamicBitVector(_deep_bits(bounds), bounds=bounds)
+        before, n = vec.tree, len(vec)
+        calls = [(vec.insert, -1, 1), (vec.insert, n + 1, 1)]
+        calls += [(f, i) for f in (vec.delete, vec.set, vec.clear, vec.access) for i in (-1, n)]
+        for f, *args in calls:
+            with pytest.raises(IndexError):
+                f(*args)
+            assert vec.tree is before
+
+    def test_bad_index_is_reported_before_bad_bit(self):
+        t = from_bits(_deep_bits(BOUNDS), BOUNDS)
+        for i in (-1, dsize(t) + 1):
+            with pytest.raises(IndexError):
+                dinsert(t, 2, i, BOUNDS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 1), max_size=120), st.integers(0, 1))
+def test_ops_at_every_leaf_edge_match_oracle(bits, bit):
+    """Each op at each leaf's first and last offset and one either side,
+    the vector's ends included, against the flat operations."""
+    bounds = SizeBounds(3, 8)
+    t, n = from_bits(bits, bounds), len(bits)
+    probes, start = {n + 1}, 0
+    for _, node in _levels(t):
+        if isinstance(node, Leaf):
+            end = start + node.length - 1
+            probes |= {start - 1, start, start + 1, end - 1, end, end + 1}
+            start += node.length
+    for i in sorted(probes):
+        for got, want in (
+            (_outcome(dinsert, t, bit, i, bounds), _outcome(insert1, bits, bit, i)),
+            (_outcome(ddelete, t, i, bounds), _outcome(delete_at, bits, i)),
+            (_outcome(dset, t, i), _outcome(update_at, bits, i, 1)),
+            (_outcome(dclear, t, i), _outcome(update_at, bits, i, 0)),
+        ):
+            if want is IndexError:
+                assert got is IndexError
+            else:
+                check_state(got[0] if isinstance(got, tuple) else got, want, bounds)
+        assert _outcome(daccess, t, i) == _outcome(_flat_access, bits, i)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -352,6 +353,14 @@ class TestTreeText:
             relabeled = parse_tree(format_tree(t))
             assert bfs_queue(relabeled) == [str(x) for x in bfs_queue(t)]
 
+    @pytest.mark.parametrize("label", ["a b", "", "x)", "(", "a\tb"])
+    def test_format_rejects_labels_that_do_not_read_back(self, label):
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            format_tree(Tree("r", (Tree(label),)))
+
+    def test_format_writes_none_as_underscore(self):
+        assert format_tree(Tree(None, (Tree("a"), Tree(None)))) == "(_ (a) (_))"
+
     def test_format_roundtrip_on_deep_chain(self):
         n = 10**5
         t = Tree(str(n - 1))
@@ -378,3 +387,23 @@ class TestTreeText:
         with pytest.raises(TreeParseError) as err:
             parse_tree(text)
         assert (err.value.line, err.value.column) == (line, column)
+
+
+TEXT_LABELS = st.text(alphabet="ab_ ()", max_size=3)
+TEXT_TREES = st.recursive(
+    st.builds(Tree, TEXT_LABELS),
+    lambda kids: st.builds(Tree, TEXT_LABELS, st.lists(kids, max_size=3).map(tuple)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TEXT_TREES)
+def test_format_tree_raises_or_round_trips(t):
+    readable = all(label and not set(label) & set(" ()") for label in bfs_queue(t))
+    try:
+        text = format_tree(t)
+    except ValueError:
+        assert not readable
+    else:
+        assert readable and parse_tree(text) == t
