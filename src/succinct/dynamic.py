@@ -67,7 +67,7 @@ RED = Color.RED
 BLACK = Color.BLACK
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Leaf:
     """``length`` bits packed LSB-first: bit j of the leaf is bit j of
     ``word``, and ``word`` has no bit at or past ``length``."""
@@ -75,21 +75,53 @@ class Leaf:
     word: int
     length: int
 
+    def __init__(self, word: int, length: int):
+        # the slots' own setters: the generated __init__ calls object.__setattr__ per field
+        _set_word(self, word)
+        _set_length(self, length)
+
     @classmethod
     def of(cls, bits: Iterable[int]) -> "Leaf":
         """The leaf holding ``bits``, index 0 first."""
         return _leaf_of_text(_ascii_bits(bits))
 
 
-@dataclass(frozen=True, slots=True)
+_set_word, _set_length = Leaf.word.__set__, Leaf.length.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class Node:
+    """An internal node; (num, ones) describe its left subtree.  Equal,
+    hashed and shown by its preorder, so any depth is safe."""
+
     color: Color
     left: "DTree"
     num: int
     ones: int
     right: "DTree"
 
+    def __init__(self, color: Color, left: "DTree", num: int, ones: int, right: "DTree"):
+        _set_color(self, color)
+        _set_left(self, left)
+        _set_num(self, num)
+        _set_ones(self, ones)
+        _set_right(self, right)
 
+    def _key(self) -> tuple:
+        return tuple((n.color, n.num, n.ones) if type(n) is Node else n for n in _preorder(self))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Node) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"<Node in preorder: {self._key()!r}>"
+
+
+_set_color, _set_left, _set_num = Node.color.__set__, Node.left.__set__, Node.num.__set__
+_set_ones, _set_right = Node.ones.__set__, Node.right.__set__
 DTree = Leaf | Node
 
 
@@ -155,17 +187,19 @@ def _without(leaf: Leaf, i: int) -> Leaf:
 # queries
 
 
+def _preorder(t: DTree) -> list[DTree]:
+    """Every node and leaf of t in preorder, walking an explicit stack."""
+    out, stack = [], [t]
+    while stack:
+        out.append(x := stack.pop())
+        if isinstance(x, Node):
+            stack += (x.right, x.left)
+    return out
+
+
 def dflatten(t: DTree) -> list[int]:
     """In-order concatenation of the leaf bits."""
-    texts: list[str] = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            texts.append(_leaf_text(node))
-        else:
-            stack.append(node.right)
-            stack.append(node.left)
+    texts = [_leaf_text(x) for x in _preorder(t) if isinstance(x, Leaf)]
     return list("".join(texts).encode().translate(_FROM_ASCII))
 
 
@@ -239,24 +273,19 @@ def daccess(t: DTree, i: int) -> int:
 
 
 def _measure(t: DTree, low: int, high: int) -> tuple[bool, int, int]:
-    """(well_formed, size, ones) in one in-order pass over an explicit
-    stack: a node's num and ones must be the bits and 1s the walk passes
-    between entering the node and finishing its left subtree."""
+    """(well_formed, size, ones), bottom-up: in the reversed preorder each
+    node follows both its subtrees, and its num/ones must be its left's."""
     ok = True
-    size = ones = 0
-    stack: list = [t]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, Leaf):
-            ok = ok and low <= item.length < high and item.word >> item.length == 0
-            size += item.length
-            ones += item.word.bit_count()
-        elif isinstance(item, Node):
-            stack += (item.right, (item, size, ones), item.left)
+    done: list[tuple[int, int]] = []  # (size, ones) of finished subtrees
+    for x in reversed(_preorder(t)):
+        if isinstance(x, Leaf):
+            ok = ok and low <= x.length < high and x.word >> x.length == 0
+            done.append((x.length, x.word.bit_count()))
         else:
-            node, size_before, ones_before = item
-            ok = ok and node.num == size - size_before and node.ones == ones - ones_before
-    return ok, size, ones
+            (num, ones), (size_r, ones_r) = done.pop(), done.pop()
+            ok = ok and x.num == num and x.ones == ones
+            done.append((num + size_r, ones + ones_r))
+    return ok, *done[0]
 
 
 def wf_check(t: DTree, bounds: SizeBounds) -> bool:
@@ -270,24 +299,19 @@ def wf_check(t: DTree, bounds: SizeBounds) -> bool:
 def redblack_check(t: DTree, context: Color = RED) -> int | None:
     """Black height when the red-black invariant holds under ``context``
     (no red node with a red parent, equal black counts on every path),
-    None otherwise.  The default Red context rejects a red root.  Walks
-    an explicit stack, so any depth is safe."""
-    black_height = None
-    stack: list[tuple[DTree, int, bool]] = [(t, 0, context is RED)]
-    while stack:
-        node, blacks, red_parent = stack.pop()
-        if isinstance(node, Leaf):
-            if black_height is None:
-                black_height = blacks
-            elif blacks != black_height:
-                return None
-        elif node.color is RED:
-            if red_parent:
-                return None
-            stack += ((node.right, blacks, True), (node.left, blacks, True))
+    None otherwise.  The default Red context rejects a red root.  Works
+    bottom-up over the reversed preorder, as _measure does."""
+    done: list[tuple[int, Color]] = []  # (black height, root color) of finished subtrees
+    for x in reversed(_preorder(t)):
+        if isinstance(x, Leaf):
+            done.append((0, BLACK))
         else:
-            stack += ((node.right, blacks + 1, False), (node.left, blacks + 1, False))
-    return black_height
+            (height, left), (height_r, right) = done.pop(), done.pop()
+            if height != height_r or x.color is RED and RED in (left, right):
+                return None
+            done.append((height + (x.color is BLACK), x.color))
+    height, color = done[0]
+    return None if color is RED and context is RED else height
 
 
 # ---------------------------------------------------------------------------
@@ -343,23 +367,10 @@ def _lift_r(c: Color, l: DTree, num: int, ones: int, r: Node) -> Node | None:
     return None
 
 
-def _balance_l(c: Color, l: DTree, num: int, ones: int, r: DTree) -> DTree:
-    """Okasaki rebalance after an insert in the left subtree; num/ones
-    already describe the new left subtree."""
-    if c is BLACK and isinstance(l, Node) and l.color is RED:
-        return _lift_l(RED, l, num, ones, r) or Node(c, l, num, ones, r)
-    return Node(c, l, num, ones, r)
-
-
-def _balance_r(c: Color, l: DTree, num: int, ones: int, r: DTree) -> DTree:
-    """Mirror of _balance_l for an insert in the right subtree."""
-    if c is BLACK and isinstance(r, Node) and r.color is RED:
-        return _lift_r(RED, l, num, ones, r) or Node(c, l, num, ones, r)
-    return Node(c, l, num, ones, r)
-
-
 def _dins(t: DTree, b: int, i: int, bounds: SizeBounds) -> DTree:
-    """Insert bit b at offset i; the leaf checks i first, then b."""
+    """Insert bit b at offset i; the leaf checks i first, then b.  On the
+    way back up, a black node lifts a red grandchild under a red child
+    (Okasaki's balance)."""
     if isinstance(t, Leaf):
         if not 0 <= i <= t.length:
             raise IndexError("insert position out of range")
@@ -371,9 +382,14 @@ def _dins(t: DTree, b: int, i: int, bounds: SizeBounds) -> DTree:
             left, right = _split(grown, (bounds.high + 1) // 2)
             return Node(RED, left, left.length, left.word.bit_count(), right)
         return grown
+    c = t.color
     if i < t.num:
-        return _balance_l(t.color, _dins(t.left, b, i, bounds), t.num + 1, t.ones + b, t.right)
-    return _balance_r(t.color, t.left, t.num, t.ones, _dins(t.right, b, i - t.num, bounds))
+        l, num, ones, r = _dins(t.left, b, i, bounds), t.num + 1, t.ones + b, t.right
+        lift = c is BLACK and isinstance(l, Node) and l.color is RED
+        return lift and _lift_l(RED, l, num, ones, r) or Node(c, l, num, ones, r)
+    l, num, ones, r = t.left, t.num, t.ones, _dins(t.right, b, i - t.num, bounds)
+    lift = c is BLACK and isinstance(r, Node) and r.color is RED
+    return lift and _lift_r(RED, l, num, ones, r) or Node(c, l, num, ones, r)
 
 
 def dinsert(t: DTree, b: int, i: int, bounds: SizeBounds) -> DTree:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import accumulate, islice
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .bitvec import BitSeq, BitVector, pred, rank, select, succ
 
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class Tree:
     """Arbitrarily-branching ordered tree; a leaf has no children.  Equal
     and hashed by the level-order (label, child count) list, no recursion."""
@@ -57,8 +57,10 @@ class Tree:
     label: Any = None
     children: tuple["Tree", ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
+    def __init__(self, label: Any = None, children: Iterable["Tree"] = ()):
+        # the slots' own setters, as in dynamic.Leaf: cheaper than the generated __init__
+        _set_label(self, label)
+        _set_children(self, tuple(children))
 
     def _shape(self) -> tuple[tuple[Any, int], ...]:
         queue = [self]
@@ -71,6 +73,9 @@ class Tree:
 
     def __hash__(self):
         return hash(self._shape())
+
+
+_set_label, _set_children = Tree.label.__set__, Tree.children.__set__
 
 
 def height(t: Tree) -> int:
@@ -237,8 +242,7 @@ def parse_tree(text: str) -> Tree:
         elif token == ")":
             if not stack:
                 raise _parse_error(text, pos, "unbalanced ')'")
-            label, kids = stack.pop()
-            node = Tree(label, tuple(kids))
+            node = Tree(*stack.pop())
             if stack:
                 stack[-1][1].append(node)
             else:

@@ -58,7 +58,7 @@ def random_tree(rng: Random, max_nodes: int = 60, exact: int | None = None) -> T
         kids[rng.randrange(node)].append(node)
     built: list[Tree | None] = [None] * n
     for node in range(n - 1, -1, -1):
-        built[node] = Tree(node, tuple(built[c] for c in kids[node]))
+        built[node] = Tree(node, (built[c] for c in kids[node]))
     return built[0]
 
 

@@ -590,6 +590,18 @@ class TestDumpFormat:
         assert dump(parse_dump(fixture)) == text
         assert dump(parse_dump(text)) == text
 
+    def test_deep_node_compares_hashes_and_prints(self):
+        # a chain deeper than the recursion limit: Node's ==, hash and repr
+        # must walk it without recursing
+        depth = 3000
+        text = '(Black num=1 ones=1 (leaf "1") ' * depth + '(leaf "1")' + ")" * depth
+        a, b = parse_dump(text), parse_dump(text)
+        assert wf_check(a, SizeBounds(1, 2)) and redblack_check(a) is None
+        assert a == b and hash(a) == hash(b)
+        # only the deepest leaf is followed by a ')'
+        assert a != parse_dump(text.replace('(leaf "1"))', '(leaf "0"))'))
+        assert repr(a).startswith("<Node in preorder: ((<Color.BLACK: 'Black'>, 1, 1), Leaf(")
+
     def test_ten_thousand_deep_dump_parses_and_checks(self):
         depth = 10_000
         text = '(Black num=1 ones=1 (leaf "1") ' * depth + '(leaf "1")' + ")" * depth

@@ -1,11 +1,17 @@
-"""The package's public surface, and the names the benchmark looks up.
+"""The package's public surface, the names the benchmark looks up, and
+the value semantics of the tree types.
 
 perfbench/ wraps functions and methods by the names their callers look
 up; a name that moves away is only reported as absent, so these tests
 pin every one of them.
 """
 
+import copy
+import dataclasses
+import pickle
 import types
+
+import pytest
 
 import succinct
 from succinct import cli, dynamic, louds, spec, verify
@@ -59,3 +65,21 @@ def test_the_formulations_live_in_spec_only():
     assert set(spec.__all__) == SPEC
     assert all(hasattr(spec, name) for name in SPEC)
     assert not [name for name in SPEC if hasattr(louds, name)]
+
+
+def test_node_leaf_and_tree_are_frozen_slotted_values():
+    leaf = dynamic.Leaf(0b101, 3)
+    node = dynamic.Node(dynamic.BLACK, leaf, 3, 2, dynamic.Leaf(0b1, 2))
+    tree = louds.Tree("a", [louds.Tree("b"), louds.Tree()])
+    for value, field in ((leaf, "word"), (node, "num"), (tree, "label")):
+        for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert copied == value and hash(copied) == hash(value)
+        changed = dataclasses.replace(value, **{field: 7})
+        assert getattr(changed, field) == 7 and changed != value
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, 7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, field)
+        assert not hasattr(value, "__dict__")
+    assert (louds.Tree().label, louds.Tree().children) == (None, ())
+    assert type(tree.children) is tuple and tree.children == (louds.Tree("b"), louds.Tree(None))
