@@ -3,8 +3,9 @@
 Three layers, each validated against a naive reference oracle:
 
 - ``bitvec``: static rank/select/succ/pred over flat bit sequences,
-  plus ``BitVector``, packed words with a 1- and 0-count directory in
-  16 bytes per 64 bits: O(1) rank, key-free select, in-word succ/pred.
+  plus ``BitVector``, packed words with a rank9 directory of 1- and
+  0-counts in 80 bytes per 512 bits: O(1) rank, key-free select,
+  in-word succ/pred.
 - ``louds``: pointerless level-order tree encoding with rank/select
   navigation (child count, i-th child, parent) on a ``BitVector``.
 - ``dynamic``: dynamic bit vectors as red-black trees over packed

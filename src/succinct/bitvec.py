@@ -21,17 +21,19 @@ The index conventions are load-bearing (the navigation formulas in
 
 The free functions are the specification and scan the sequence, so
 each costs O(n).  ``BitVector`` answers all four with the same conventions
-from packed 64-bit words and a directory of 1- and 0-counts, 16 bytes per
-64 bits: O(1) rank, key-free select, succ and pred mostly in one word.
+from packed 64-bit words and rank9's directory of 1- and 0-counts, 10
+bytes per 64 bits: O(1) rank, key-free select, succ and pred mostly in one word.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from array import array
 from bisect import bisect_left
 from functools import cache
 from itertools import accumulate
+from operator import mul, sub
 from typing import Sequence
 
 Bit = int
@@ -126,14 +128,20 @@ def _frozen(code: str, values) -> memoryview:
 @cache
 def _halves(k: int) -> tuple[tuple[int, int], ...]:
     """(width, mask) of the steps that halve a word of at most 2**k bits
-    down to one bit, widest first."""
-    return tuple((1 << j, (1 << (1 << j)) - 1) for j in reversed(range(k)))
+    down to one byte, widest first."""
+    return tuple((1 << j, (1 << (1 << j)) - 1) for j in reversed(range(3, k)))
+
+
+# _IN_BYTE[x << 3 | r - 1] is the offset of the r-th 1 of the byte x
+_IN_BYTE = bytes(([p for p in range(8) if x >> p & 1] + [0] * 8)[r]
+                 for x in range(256) for r in range(8))
 
 
 def _halve(word: int, r: int, steps: tuple[tuple[int, int], ...]) -> int:
     """0-based offset of the r-th 1 (counting from 1) within a word that
     holds at least r 1s.  Each step keeps the half holding it, so the
-    word shrinks as it goes and every ``bit_count`` is of a smaller int."""
+    word shrinks as it goes and every ``bit_count`` is of a smaller int;
+    ``_IN_BYTE`` finishes in the last byte."""
     offset = 0
     for width, mask in steps:
         low = word & mask
@@ -144,7 +152,7 @@ def _halve(word: int, r: int, steps: tuple[tuple[int, int], ...]) -> int:
             word >>= width
         else:
             word = low
-    return offset
+    return offset + _IN_BYTE[word << 3 | r - 1]
 
 
 def _word_select(word: int, length: int, i: int) -> int:
@@ -161,35 +169,48 @@ def _word_select(word: int, length: int, i: int) -> int:
 
 
 _HALVES = _halves(6)  # the steps for one 64-bit BitVector word
+# rank9's packed in-block counts: seven 9-bit fields, t = 0..6, in one word
+_SPANS = sum(64 * (t + 1) << 9 * t for t in range(7))  # the bits before word t + 1
+_AFTER = tuple(sum(1 << 9 * t for t in range(s, 7)) for s in range(7))  # 1 in fields s..6
 
 
 class BitVector:
     """Immutable bit sequence with a rank/select directory.
 
-    Bit j is bit j % 64 of word j // 64.  The directory holds the 1-count
-    before each word k = 0..m, then the 0-count before each word (the
-    last is len - ones, so the final word's padding is never selected):
-    the counts of rank9 (Vigna, *Broadword Implementation of Rank/Select
-    Queries*, 2008), absolute per word, 32-bit below 2**32 bits.  ``rank``
-    is one lookup plus ``int.bit_count`` of one masked word; ``select``
-    is a C-level ``bisect_left`` over one half, then halves into a word;
-    ``succ`` and ``pred`` look in the word holding their index first.
-    For ``b`` in (0, 1), bools included, all answer exactly like the free
-    functions; any other ``b`` raises ``ValueError``.  Words and directory
-    take 16 bytes per 64 bits.
+    Bit j is bit j % 64 of word j // 64, and the words are padded with
+    0s to whole 512-bit blocks.  The directory is rank9's (Vigna,
+    *Broadword Implementation of Rank/Select Queries*, 2008): the 1-count
+    before each block k = 0..m, then the 0-count before each block (the
+    last is len - ones, so padding is never selected), 32-bit below
+    2**32 bits; and per block one word packing the 1-counts before its
+    words 1..7, 9 bits each (word j's 0-count is 64 j minus its 1-count).
+    ``rank`` is one block count, one packed field and ``int.bit_count``
+    of one masked word; ``select`` is a C-level ``bisect_left`` over the
+    block counts of one half, a three-step binary search of the packed
+    fields for the word, then halves into it; ``succ`` and ``pred`` look
+    in the word holding their index first.  For ``b`` in (0, 1), bools
+    included, all answer exactly like the free functions; any other ``b``
+    raises ``ValueError``.  Words and directory take 80 bytes per block,
+    plus 16 for the counts past the end.
     """
 
-    __slots__ = ("_len", "_words", "_dir")
+    __slots__ = ("_len", "_words", "_dir", "_packed")
 
     def __init__(self, bits: BitSeq):
         text = _ascii_bits(bits)
         n = len(text)
-        words = [int(text[k : k + 64][::-1], 2) for k in range(0, n, 64)]
-        ones = list(accumulate((w.bit_count() for w in words), initial=0))
-        zeros = [(k << 6) - c for k, c in enumerate(ones[:-1])] + [n - ones[-1]]
+        # one int's bytes in the host's order, which on a big-endian host puts the last word first
+        words = int(text[::-1] or b"0", 2).to_bytes(-(-n // 512) << 6, sys.byteorder)
+        words = memoryview(words).cast("Q")[:: 1 if sys.byteorder == "little" else -1]
+        counts = list(map(int.bit_count, words))
+        ones = list(accumulate(counts, initial=0))[::8]
+        zeros = list(map(sub, range(0, n, 512), ones)) + [n - ones[-1]]
+        # per block, word s's count added into fields s..6; the empty block past the end gives 0
+        packed = [sum(map(mul, counts[k : k + 7], _AFTER)) for k in range(0, len(counts) + 1, 8)]
         object.__setattr__(self, "_len", n)
-        object.__setattr__(self, "_words", _frozen("Q", words))
+        object.__setattr__(self, "_words", words)
         object.__setattr__(self, "_dir", _frozen("I" if n < 1 << 32 else "Q", ones + zeros))
+        object.__setattr__(self, "_packed", _frozen("Q", packed))
 
     def __setattr__(self, name, value):
         raise AttributeError("BitVector is immutable")
@@ -225,11 +246,12 @@ class BitVector:
             raise ValueError("b must be 0 or 1")
         if i < 0:
             raise ValueError("prefix length must be non-negative")
-        i = min(i, self._len)
-        k, r = i >> 6, i & 63
-        ones = self._dir[k]
+        if i > self._len:
+            i = self._len
+        w, r = i >> 6, i & 63
+        ones = self._dir[w >> 3] + (self._packed[w >> 3] << 9 >> 9 * (w & 7) & 511)
         if r:
-            ones += (self._words[k] & ((1 << r) - 1)).bit_count()
+            ones += (self._words[w] & ((1 << r) - 1)).bit_count()
         return ones if b == 1 else i - ones
 
     def select(self, b: Bit, i: int) -> int:
@@ -244,11 +266,18 @@ class BitVector:
         counts = self._dir
         half = len(counts) >> 1
         lo = 0 if b == 1 else half
-        if i > counts[lo + half - 1]:
-            return self._len + 1
         k = bisect_left(counts, i, lo, lo + half) - 1
-        word = self._words[k - lo]
-        return ((k - lo) << 6) + _halve(word if b == 1 else ~word, i - counts[k], _HALVES) + 1
+        if k == lo + half - 1:  # i is past the total
+            return self._len + 1
+        r = i - counts[k]  # 1..512, in block k - lo
+        fields = self._packed[k - lo] if b == 1 else _SPANS - self._packed[k - lo]
+        # word j of the block holds the r-th b: a binary search of the sorted fields
+        j = 4 if r > fields >> 27 & 511 else 0
+        j += 2 if r > fields >> 9 * j + 9 & 511 else 0
+        j += 1 if r > fields >> 9 * j & 511 else 0
+        w = (k - lo << 3) + j
+        word = self._words[w] if b == 1 else self._words[w] ^ _WORD
+        return (w << 6) + _halve(word, r - (fields << 9 >> 9 * j & 511), _HALVES) + 1
 
     def succ(self, b: Bit, y: int) -> int:
         """1-based position of the first b at or after 1-based index y;
@@ -261,8 +290,9 @@ class BitVector:
         if j < self._len:
             word = self._words[j >> 6]
             rest = (word if b == 1 else word ^ _WORD) >> (j & 63)
-            if rest:  # a 0 found in the final word's padding means none
-                return min(j + (rest & -rest).bit_length(), self._len + 1)
+            if rest:  # a 0 found in the padding means none
+                j += (rest & -rest).bit_length()
+                return j if j <= self._len else self._len + 1
         return self.select(b, self.rank(b, j) + 1)
 
     def pred(self, b: Bit, y: int) -> int:

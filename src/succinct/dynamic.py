@@ -92,7 +92,8 @@ _set_word, _set_length = Leaf.word.__set__, Leaf.length.__set__
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class Node:
     """An internal node; (num, ones) describe its left subtree.  Equal,
-    hashed and shown by its preorder, so any depth is safe."""
+    hashed, shown, pickled and copied by its preorder, so any depth is
+    safe."""
 
     color: Color
     left: "DTree"
@@ -119,10 +120,24 @@ class Node:
     def __repr__(self):
         return f"<Node in preorder: {self._key()!r}>"
 
+    def __reduce__(self):
+        return _node_of_key, (self._key(),)
+
 
 _set_color, _set_left, _set_num = Node.color.__set__, Node.left.__set__, Node.num.__set__
 _set_ones, _set_right = Node.ones.__set__, Node.right.__set__
 DTree = Leaf | Node
+
+
+def _node_of_key(key: tuple) -> Node:
+    """The tree whose ``Node._key`` is key, built bottom-up: in the
+    reversed preorder each node follows both its subtrees."""
+    done: list[DTree] = []
+    for x in reversed(key):
+        if type(x) is tuple:
+            x = Node(x[0], done.pop(), x[1], x[2], done.pop())
+        done.append(x)
+    return done[0]
 
 
 @dataclass(frozen=True)

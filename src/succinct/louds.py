@@ -12,8 +12,8 @@ arithmetic on the bit sequence; ``bitvec`` documents the index
 conventions the formulas rely on.  The module-level ``louds_children``,
 ``louds_child`` and ``louds_parent`` are the raw total formulas over
 the free, O(n) ``rank``/``select``.  ``Louds`` keeps the bits in a
-``BitVector``, applies the same formulas with its methods (a few word
-operations or one O(log n) bisection a step) and validates positions.
+``BitVector``, applies the same formulas with its methods and validates
+positions.
 
 ``louds_encode`` is one breadth-first pass over a queue.  The paper's
 other traversal formulations, and the path <-> bit-offset conversion
@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
+from operator import indexOf
 from typing import Any, Iterable, Sequence
 
 from .bitvec import BitSeq, BitVector, pred, rank, select, succ
@@ -49,10 +50,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False, slots=True, init=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class Tree:
-    """Arbitrarily-branching ordered tree; a leaf has no children.  Equal
-    and hashed by the level-order (label, child count) list, no recursion."""
+    """Arbitrarily-branching ordered tree; a leaf has no children.  Equal,
+    hashed, shown, pickled and copied by the level-order (label, child
+    count) list, so any depth is safe."""
 
     label: Any = None
     children: tuple["Tree", ...] = ()
@@ -74,8 +76,26 @@ class Tree:
     def __hash__(self):
         return hash(self._shape())
 
+    def __repr__(self):
+        return f"<Tree in level order: {self._shape()!r}>"
+
+    def __reduce__(self):
+        return _tree_of_shape, (self._shape(),)
+
 
 _set_label, _set_children = Tree.label.__set__, Tree.children.__set__
+
+
+def _tree_of_shape(shape: tuple[tuple[Any, int], ...]) -> Tree:
+    """The tree whose ``Tree._shape`` is shape, built from the last node
+    back: the children of node k follow those of every earlier node."""
+    nodes: list[Tree | None] = [None] * len(shape)
+    first = len(shape)  # where the children of node k start
+    for k in reversed(range(len(shape))):
+        label, count = shape[k]
+        first -= count
+        nodes[k] = Tree(label, nodes[first : first + count])
+    return nodes[0]
 
 
 def height(t: Tree) -> int:
@@ -140,9 +160,12 @@ class Louds:
     sequence, which must encode some tree or ``ValueError`` is raised;
     the bits are kept only in the vector.  Navigation uses the raw
     formulas above with the vector's rank/select/succ/pred in place of
-    the free functions.  The raw formulas are total and answer garbage
-    for bit indices that do not start a node description; this wrapper
-    rejects those loudly instead.
+    the free functions: a step is a few word operations, plus for a
+    select one bisection over the per-512-bit block counts, so
+    O(log n), and a constant-time pick of the word in the block; the
+    vector keeps 10 bytes per 64 bits.  The raw formulas are
+    total and answer garbage for bit indices that do not start a node
+    description; this wrapper rejects those loudly instead.
     """
 
     vector: BitVector
@@ -150,9 +173,10 @@ class Louds:
     def __post_init__(self):
         if not isinstance(self.vector, BitVector):
             vector = BitVector(self.vector)
-            # nodes found but not yet described, before each bit and after the last
-            pending = list(accumulate((2 * bit - 1 for bit in vector), initial=1))
-            if pending[-1] or 0 in pending[:-1]:
+            # nodes found but not yet described, before each bit and after the
+            # last: the first time none is left must be after the last bit
+            pending = accumulate((2 * bit - 1 for bit in vector), initial=1)
+            if indexOf(chain(pending, [0]), 0) != len(vector):
                 raise ValueError("the bits are not the LOUDS encoding of a tree")
             object.__setattr__(self, "vector", vector)
 

@@ -1,5 +1,8 @@
+import operator
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from samples import BITS58, LOUDS21
 from succinct import (
@@ -20,6 +23,25 @@ edge_lengths = st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129, 191, 192, 193])
 edge_lists = edge_lengths.flatmap(
     lambda n: st.integers(0, (1 << n) - 1).map(lambda x: [(x >> j) & 1 for j in range(n)])
 )
+# lengths at and around the 512-bit block edges of BitVector's directory
+BLOCK_LENGTHS = [511, 512, 513, 1023, 1024, 1025]
+# random words, and their ands (about a quarter 1s) and ors (three quarters)
+block_lists = st.tuples(
+    st.sampled_from(BLOCK_LENGTHS),
+    st.integers(0, (1 << 1025) - 1),
+    st.integers(0, (1 << 1025) - 1),
+    st.sampled_from([lambda x, y: x, operator.and_, operator.or_]),
+).map(lambda a: [(a[3](a[1], a[2]) >> j) & 1 for j in range(a[0])])
+
+
+@st.composite
+def one_per_block_lists(draw):
+    """A block-edge length with exactly one 1 in each block, anywhere."""
+    n = draw(st.sampled_from(BLOCK_LENGTHS))
+    s = [0] * n
+    for k in range(0, n, 512):
+        s[draw(st.integers(k, min(k + 511, n - 1)))] = 1
+    return s
 
 
 class TestRank:
@@ -161,8 +183,6 @@ class TestRankIndex:
                 assert index.rank(b, i) == rank(b, i, s)
 
     def test_exhaustive_up_to_1024_bits(self):
-        import random
-
         rng = random.Random(1024)
         s = [rng.randint(0, 1) for _ in range(1024)]
         index = BitVector(s)
@@ -171,8 +191,6 @@ class TestRankIndex:
                 assert index.rank(b, i) == rank(b, i, s)
 
     def test_randomized_large_source(self):
-        import random
-
         rng = random.Random(2024)
         s = [rng.randint(0, 1) for _ in range(5000)]
         index = BitVector(s)
@@ -232,8 +250,6 @@ class TestBitVector:
         assert index.select(0, 0) == 0
 
     def test_large_random_source(self):
-        import random
-
         rng = random.Random(4096)
         s = [rng.randint(0, 1) for _ in range(4096 + 17)]
         index = BitVector(s)
@@ -293,11 +309,68 @@ class TestBitVector:
 
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 1000, 4096, 10**5 + 3])
     def test_space_is_sixteen_bytes_per_word(self, n):
-        # 8 bytes per word plus a 1-count and a 0-count of 4 bytes for
-        # each of the m words and one past the end
+        # the rank9 layout, 80 bytes per 512-bit block: 8 words of 8 bytes,
+        # a 1-count and a 0-count of 4 bytes and a packed word of 8 bytes;
+        # the two counts and a packed word once more past the end
         index = BitVector([1, 0, 0] * (n // 3) + [1] * (n % 3))
-        m = -(-n // 64)
-        assert index._words.nbytes + index._dir.nbytes == 16 * m + 8
+        blocks = -(-n // 512)
+        assert index._words.nbytes == 64 * blocks
+        assert index._words.nbytes + index._dir.nbytes + index._packed.nbytes == 80 * blocks + 16
+
+
+def edge_indices(n, rng, sample=16):
+    """Every index from 0 to n + 2 within 2 of a word edge, a block edge
+    or n, and a sample of the others."""
+    near = {k + d for k in [*range(0, n + 1, 64), n] for d in range(-2, 3)}
+    near = {i for i in near if 0 <= i <= n + 2}
+    others = sorted(set(range(n + 3)) - near)
+    return sorted(near.union(rng.sample(others, min(sample, len(others)))))
+
+
+def assert_matches_oracle_at(s, indices):
+    """BitVector against the oracles at those indices: rank at each,
+    succ and pred at each 1-based one, and select of the ordinals whose
+    answers lie at or just after each, and past the last."""
+    index = BitVector(s)
+    for b in (0, 1):
+        ranks = [oracle_rank(b, i, s) for i in indices]
+        assert [index.rank(b, i) for i in indices] == ranks, b
+        total = oracle_count(b, s)
+        for i in sorted({r + d for r in ranks for d in (0, 1)} | {total, total + 1, total + 2}):
+            assert index.select(b, i) == oracle_select(b, i, s), (b, i)
+        for y in indices:
+            if y:
+                assert index.succ(b, y) == succ(b, s, y), (b, y)
+                assert index.pred(b, y) == pred(b, s, y), (b, y)
+
+
+class TestBlockEdges:
+    """Differential checks at the 512-bit blocks of the directory, where
+    the words are padded with 0s that must never be counted or selected."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(block_lists, st.randoms(use_true_random=False))
+    def test_random_bits(self, s, rng):
+        assert_matches_oracle_at(s, edge_indices(len(s), rng))
+
+    @settings(max_examples=25, deadline=None)
+    @given(one_per_block_lists(), st.randoms(use_true_random=False))
+    def test_one_1_per_block(self, s, rng):
+        assert_matches_oracle_at(s, edge_indices(len(s), rng))
+
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    @pytest.mark.parametrize(
+        "shape", ["all 0", "all 1", "1s after the last full block", "0s after the last full block"]
+    )
+    def test_fixed_shapes(self, n, shape):
+        full = n - n % 512
+        s = {
+            "all 0": [0] * n,
+            "all 1": [1] * n,
+            "1s after the last full block": [0] * full + [1] * (n - full),
+            "0s after the last full block": [1] * full + [0] * (n - full),
+        }[shape]
+        assert_matches_oracle_at(s, edge_indices(n, random.Random(n)))
 
 
 def per_character_parse_bits(text):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import time
 from dataclasses import FrozenInstanceError
@@ -591,8 +593,8 @@ class TestDumpFormat:
         assert dump(parse_dump(text)) == text
 
     def test_deep_node_compares_hashes_and_prints(self):
-        # a chain deeper than the recursion limit: Node's ==, hash and repr
-        # must walk it without recursing
+        # a chain deeper than the recursion limit: Node's ==, hash, repr,
+        # pickling and copying must walk it without recursing
         depth = 3000
         text = '(Black num=1 ones=1 (leaf "1") ' * depth + '(leaf "1")' + ")" * depth
         a, b = parse_dump(text), parse_dump(text)
@@ -601,6 +603,9 @@ class TestDumpFormat:
         # only the deepest leaf is followed by a ')'
         assert a != parse_dump(text.replace('(leaf "1"))', '(leaf "0"))'))
         assert repr(a).startswith("<Node in preorder: ((<Color.BLACK: 'Black'>, 1, 1), Leaf(")
+        for copied in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert copied is not a and copied == a and hash(copied) == hash(a)
+            assert dsize(copied) == depth + 1 and redblack_check(copied) is None
 
     def test_ten_thousand_deep_dump_parses_and_checks(self):
         depth = 10_000

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import re
 
@@ -372,6 +374,19 @@ class TestTreeText:
         assert got == t
         assert hash(got) == hash(t)
         assert got != Tree("0", (Tree("1"),))
+
+    def test_deep_tree_compares_hashes_prints_and_copies(self):
+        # a caterpillar deeper than the recursion limit: Tree's ==, hash,
+        # repr, pickling and copying must walk it without recursing
+        depth = 3000
+        text = "(0 (x) " * depth + "(0)" + ")" * depth
+        a, b = parse_tree(text), parse_tree(text)
+        assert a == b and hash(a) == hash(b)
+        assert a != parse_tree(text.replace("(0))", "(1))", 1))
+        assert repr(a).startswith("<Tree in level order: (('0', 2), ('x', 0), ('0', 2), ")
+        for copied in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert copied is not a and copied == a and hash(copied) == hash(a)
+            assert format_tree(copied) == text
 
     @pytest.mark.parametrize(
         "text,line,column",

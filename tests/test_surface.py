@@ -38,6 +38,7 @@ BENCHMARK_LOOKUPS = {
     cli: ["main", "parse_script", "parse_dump", "dump"],
     verify: ["ScriptRunner", "dflatten", "oracle_rank", "oracle_select", "insert1", "delete_at",
              "update_at"],
+    verify.ScriptRunner: ["step"],
 }
 
 
