@@ -169,9 +169,10 @@ def _word_select(word: int, length: int, i: int) -> int:
 
 
 _HALVES = _halves(6)  # the steps for one 64-bit BitVector word
-# rank9's packed in-block counts: seven 9-bit fields, t = 0..6, in one word
-_SPANS = sum(64 * (t + 1) << 9 * t for t in range(7))  # the bits before word t + 1
-_AFTER = tuple(sum(1 << 9 * t for t in range(s, 7)) for s in range(7))  # 1 in fields s..6
+# a block's packed word: 9-bit field t, t = 0..6, holds the block's 1s before its word t + 1
+_SHIFTS = (63, 0, 9, 18, 27, 36, 45, 54)  # the field for word j; shifting by 63 gives 0 for j = 0
+_SPANS = sum(64 * (t + 1) << 9 * t for t in range(7))  # every bit before word t + 1, in field t
+_AFTER = tuple(sum(1 << 9 * t for t in range(s, 7)) for s in range(7))  # 1s in the fields s..6
 
 
 class BitVector:
@@ -249,7 +250,7 @@ class BitVector:
         if i > self._len:
             i = self._len
         w, r = i >> 6, i & 63
-        ones = self._dir[w >> 3] + (self._packed[w >> 3] << 9 >> 9 * (w & 7) & 511)
+        ones = self._dir[w >> 3] + (self._packed[w >> 3] >> _SHIFTS[w & 7] & 511)
         if r:
             ones += (self._words[w] & ((1 << r) - 1)).bit_count()
         return ones if b == 1 else i - ones
@@ -271,13 +272,13 @@ class BitVector:
             return self._len + 1
         r = i - counts[k]  # 1..512, in block k - lo
         fields = self._packed[k - lo] if b == 1 else _SPANS - self._packed[k - lo]
-        # word j of the block holds the r-th b: a binary search of the sorted fields
+        # word j of the block holds the r-th b: search the sorted fields of words 4, j + 2, j + 1
         j = 4 if r > fields >> 27 & 511 else 0
-        j += 2 if r > fields >> 9 * j + 9 & 511 else 0
-        j += 1 if r > fields >> 9 * j & 511 else 0
+        j += 2 if r > fields >> _SHIFTS[j + 2] & 511 else 0
+        j += 1 if r > fields >> _SHIFTS[j + 1] & 511 else 0
         w = (k - lo << 3) + j
         word = self._words[w] if b == 1 else self._words[w] ^ _WORD
-        return (w << 6) + _halve(word, r - (fields << 9 >> 9 * j & 511), _HALVES) + 1
+        return (w << 6) + _halve(word, r - (fields >> _SHIFTS[j] & 511), _HALVES) + 1
 
     def succ(self, b: Bit, y: int) -> int:
         """1-based position of the first b at or after 1-based index y;
