@@ -22,7 +22,8 @@ The index conventions are load-bearing (the navigation formulas in
 The free functions are the specification and scan the sequence, so
 each costs O(n).  ``BitVector`` answers all four with the same conventions
 from packed 64-bit words and rank9's directory of 1- and 0-counts, 10
-bytes per 64 bits: O(1) rank, key-free select, succ and pred mostly in one word.
+bytes per 64 bits: O(1) rank, key-free select, succ and pred mostly in
+one word.
 """
 
 from __future__ import annotations
