@@ -73,7 +73,7 @@ def parse_bits(text: str) -> list[int]:
 
 
 def format_bits(bits: BitSeq) -> str:
-    return "".join("1" if b else "0" for b in bits)
+    return _ascii_bits(bits).decode()
 
 
 def rank(b: Bit, i: int, s: BitSeq) -> int:
@@ -113,8 +113,10 @@ def pred(b: Bit, s: BitSeq, y: int) -> int:
 
 
 def _ascii_bits(bits: BitSeq) -> bytes:
-    """The ASCII '0'/'1' spelling of a bit sequence.  A bit is an int
-    (bools included) equal to 0 or 1; anything else raises."""
+    """The ASCII '0'/'1' spelling of a bit sequence, which an int is not.
+    A bit is an int (bools included) equal to 0 or 1; anything else raises."""
+    if isinstance(bits, int):
+        raise TypeError(f"bits must be a sequence of 0/1 values, not the int {bits!r}")
     raw = bytes(bits)
     if raw.translate(None, b"\x00\x01"):
         raise ValueError("bits must be 0 or 1")

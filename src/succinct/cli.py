@@ -22,7 +22,7 @@ from .dynamic import (
     redblack_check,
     wf_check,
 )
-from .louds import Louds, louds_encode, parse_tree, with_super_root
+from .louds import Louds, _louds_bytes, parse_tree, with_super_root
 from .oracle import tree_navigate
 from .spec import louds_position
 from .verify import (
@@ -124,7 +124,7 @@ def _cmd_louds_build(args) -> int:
     if args.super_root:
         tree = with_super_root(tree)
     start = time.perf_counter()
-    bits = louds_encode(tree)
+    bits = _louds_bytes(tree)
     if args.time:
         print(f"time: {time.perf_counter() - start:.6f}s", file=sys.stderr)
     print(format_bits(bits))

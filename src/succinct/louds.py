@@ -15,10 +15,10 @@ the free, O(n) ``rank``/``select``.  ``Louds`` keeps the bits in a
 ``BitVector``, applies the same formulas with its methods and validates
 positions.
 
-``louds_encode`` is one breadth-first pass over a queue.  The paper's
-other traversal formulations, and the path <-> bit-offset conversion
-``louds_position``, are specifications in ``spec``, which the tests
-check this module against.
+One queue pass writes the encoding as 0/1 bytes, which ``Louds.encode``
+hands to ``BitVector`` and ``louds_encode`` lists.  The paper's other
+traversal formulations and ``louds_position`` (path <-> bit offset) are
+specifications in ``spec``, which the tests check this module against.
 """
 
 from __future__ import annotations
@@ -115,19 +115,21 @@ def number_of_nodes(t: Tree) -> int:
     return len(t._shape())
 
 
-def louds_encode(t: Tree) -> list[int]:
-    """Level-order concatenation of node descriptions; 2n - 1 bits.
-
-    Equal to flattening ``spec.lo_traversal_st`` of each node's
-    ``spec.node_description``, in one breadth-first pass without
-    recursion."""
-    bits: list[int] = []
-    queue = [t]
+def _louds_bytes(t: Tree) -> bytes:
+    """The encoding as 0/1 bytes, one breadth-first pass without
+    recursion: per node, a 1 per child, then a 0."""
+    runs, queue = [], [t]
     for node in queue:  # the loop walks the queue while it grows
         queue += (kids := node.children)
-        bits += [1] * len(kids)
-        bits.append(0)
-    return bits
+        runs.append(b"\1" * len(kids))
+    return b"\0".join(runs) + b"\0"
+
+
+def louds_encode(t: Tree) -> list[int]:
+    """Level-order concatenation of node descriptions, 2n - 1 bits: the
+    list of ``_louds_bytes``, equal to flattening ``spec.lo_traversal_st``
+    of each node's ``spec.node_description``."""
+    return list(_louds_bytes(t))
 
 
 def with_super_root(t: Tree) -> Tree:
@@ -158,14 +160,12 @@ class Louds:
 
     Built from a ``BitVector``, trusted as given, or from any bit
     sequence, which must encode some tree or ``ValueError`` is raised;
-    the bits are kept only in the vector.  Navigation uses the raw
-    formulas above with the vector's rank/select/succ/pred in place of
-    the free functions: a step is a few word operations, plus for a
-    select one bisection over the per-512-bit block counts, so
-    O(log n), and a constant-time pick of the word in the block; the
-    vector keeps 10 bytes per 64 bits.  The raw formulas are
-    total and answer garbage for bit indices that do not start a node
-    description; this wrapper rejects those loudly instead.
+    the bits are kept only in the vector.  Navigation applies the raw
+    formulas above through the vector's rank/select/succ/pred: a few
+    word operations per step, plus one O(log n) bisection of the block
+    counts per select.  The raw formulas are total and answer garbage
+    for bit indices that do not start a node description; this wrapper
+    rejects those loudly instead.
     """
 
     vector: BitVector
@@ -182,7 +182,8 @@ class Louds:
 
     @classmethod
     def encode(cls, t: Tree) -> "Louds":
-        return cls(BitVector(louds_encode(t)))
+        """t's encoding, its 0/1 bytes passed to ``BitVector`` as they are."""
+        return cls(BitVector(_louds_bytes(t)))
 
     @property
     def bits(self) -> tuple[int, ...]:

@@ -29,7 +29,7 @@ from .oracle import (
     tree_navigate,
     update_at,
 )
-from .spec import lo_traversal, lo_traversal_lt, lo_traversal_st, louds_position
+from .spec import lo_traversal, lo_traversal_lt, lo_traversal_st, louds_position, node_description
 
 __all__ = [
     "OPS",
@@ -102,6 +102,9 @@ def check_traversals(t: Tree) -> None:
 
 def check_encoding(t: Tree) -> None:
     bits = louds_encode(t)
+    descriptions = lo_traversal_st(lambda node: node_description(node.children), t)
+    if bits != [bit for description in descriptions for bit in description]:
+        raise VerifyError("louds_encode disagrees with the spec's node descriptions")
     n = number_of_nodes(t)
     if len(bits) != 2 * n - 1:
         raise VerifyError(f"encoding of {n} nodes has {len(bits)} bits, want {2 * n - 1}")

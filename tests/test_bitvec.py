@@ -272,6 +272,12 @@ class TestBitVector:
         with pytest.raises(TypeError):
             index._words[0] = 0
 
+    @pytest.mark.parametrize("n", [0, 3, 5, True])
+    def test_rejects_an_int(self, n):
+        # bytes(n) would read an int as n 0 bytes
+        with pytest.raises(TypeError):
+            BitVector(n)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             BitVector([1, 0, 2])
@@ -308,7 +314,7 @@ class TestBitVector:
         assert index.succ(0, 6) == 7 and index.pred(0, 291) == 290
 
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 1000, 4096, 10**5 + 3])
-    def test_space_is_sixteen_bytes_per_word(self, n):
+    def test_space_is_ten_bytes_per_word(self, n):
         # the rank9 layout, 80 bytes per 512-bit block: 8 words of 8 bytes,
         # a 1-count and a 0-count of 4 bytes and a packed word of 8 bytes;
         # the two counts and a packed word once more past the end
@@ -411,6 +417,22 @@ class TestAsciiFormat:
     @given(bit_lists)
     def test_roundtrip(self, s):
         assert parse_bits(format_bits(s)) == s
+
+    def test_format_takes_any_bit_sequence(self):
+        assert format_bits([True, False, 1, 0]) == "1010"
+        assert format_bits(b"\x01\x00") == format_bits(iter([1, 0])) == "10"
+        assert format_bits(BitVector([0, 1, 1])) == "011"
+        assert format_bits([]) == ""
+
+    @pytest.mark.parametrize("bad", [[2], [1, 0, 3], [0, -1], [1, 256]])
+    def test_format_rejects_other_values(self, bad):
+        # as BitVector does: a truthy item other than 1 is no bit
+        with pytest.raises(ValueError):
+            format_bits(bad)
+
+    def test_format_rejects_an_int(self):
+        with pytest.raises(TypeError):
+            format_bits(3)
 
     def test_matches_definition_on_every_character_to_u3000(self):
         # every Unicode whitespace character lies at or below U+3000

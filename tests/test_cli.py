@@ -73,6 +73,20 @@ class TestLoudsBuild:
         assert code == 0
         assert out.strip() == "10" * (n - 1) + "0"
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("(r" + " (c)" * 300 + ")", "1" * 300 + "0" * 301),
+            (" ".join(f"({k}" for k in range(3000)) + ")" * 3000, "10" * 2999 + "0"),
+        ],
+        ids=["300-children", "3000-deep"],
+    )
+    def test_wide_and_deep_trees(self, capsys, tmp_path, text, expected):
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        code, out, _ = run(capsys, "louds-build", str(path))
+        assert (code, out) == (0, expected + "\n")
+
     def test_time_goes_to_stderr_alone(self, capsys, tree_file):
         _, plain, _ = run(capsys, "louds-build", tree_file)
         code, out, err = run(capsys, "louds-build", tree_file, "--time")

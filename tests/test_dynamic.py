@@ -793,6 +793,17 @@ class TestBitRule:
         with pytest.raises(ValueError):
             DynamicBitVector(bad, bounds=BOUNDS)
 
+    @pytest.mark.parametrize(
+        "build",
+        [Leaf.of, lambda n: from_bits(n, BOUNDS), lambda n: DynamicBitVector(n, bounds=BOUNDS)],
+        ids=["Leaf.of", "from_bits", "DynamicBitVector"],
+    )
+    def test_bulk_entry_points_reject_an_int(self, build):
+        # bytes(n) would read an int as n 0 bytes
+        for n in (0, 3, True):
+            with pytest.raises(TypeError):
+                build(n)
+
     @pytest.mark.parametrize("bad", [2, -1, 1.0, "1", None])
     def test_dinsert_rejects_other_values(self, bad):
         with pytest.raises(ValueError):

@@ -37,6 +37,7 @@ from succinct.spec import (
     subtree,
     valid_position,
 )
+from succinct import verify
 from succinct.verify import random_path, random_tree
 
 
@@ -48,6 +49,15 @@ def _shape_to_tree(shape) -> Tree:
 
     return build(shape)
 
+
+def _chain(n: int) -> Tree:
+    t = Tree(n - 1)
+    for label in range(n - 2, -1, -1):
+        t = Tree(label, (t,))
+    return t
+
+
+CHAIN3000 = _chain(3000)
 
 shapes = st.recursive(st.just(()), lambda s: st.lists(s, min_size=1, max_size=4), max_leaves=25)
 trees = shapes.map(_shape_to_tree)
@@ -130,6 +140,38 @@ class TestEncoding:
         n = number_of_nodes(t)
         assert bits.count(0) == n
         assert bits.count(1) == n - 1
+
+    @given(trees)
+    def test_matches_flattened_node_descriptions(self, t):
+        bits = louds_encode(t)
+        descriptions = lo_traversal_st(lambda node: node_description(node.children), t)
+        assert type(bits) is list
+        assert bits == list(itertools.chain.from_iterable(descriptions))
+        assert Louds.encode(t).vector == BitVector(bits)
+
+    def test_verify_compares_the_encoder_with_the_spec(self, monkeypatch):
+        def ones_first(t):
+            # keeps the size law and the bit counts, not the shape
+            return sorted(louds_encode(t), reverse=True)
+
+        monkeypatch.setattr(verify, "louds_encode", ones_first)
+        with pytest.raises(verify.VerifyError, match="node descriptions"):
+            verify.check_encoding(TREE10)
+
+    @pytest.mark.parametrize(
+        "t, expected",
+        [
+            (Tree("x"), [0]),
+            (Tree("r", [Tree(k) for k in range(300)]), [1] * 300 + [0] * 301),
+            (CHAIN3000, [1, 0] * 2999 + [0]),
+        ],
+        ids=["leaf", "300-children", "3000-deep"],
+    )
+    def test_fixed_trees(self, t, expected):
+        # a degree past one byte, and a chain deeper than the recursion limit
+        bits = louds_encode(t)
+        assert type(bits) is list and bits == expected
+        assert Louds.encode(t).vector == BitVector(expected)
 
 
 class TestPositions:
@@ -327,10 +369,7 @@ class TestCheckedLayer:
 
     def test_deep_chain_encodes_without_recursion(self):
         n = 10**4
-        t = Tree(n - 1)
-        for label in range(n - 2, -1, -1):
-            t = Tree(label, (t,))
-        nav = Louds.encode(t)
+        nav = Louds.encode(_chain(n))
         assert len(nav) == 2 * n - 1
         assert nav.bits == (1, 0) * (n - 1) + (0,)
         deepest = 2 * (n - 1)
