@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Subcommands: louds-build, louds-query, dbv-run, verify.
+Subcommands: louds-build, louds-query, dbv-run, verify.  dbv-run reads
+the ops of ``verify.OPS``; ``louds-query --verify`` works out from the
+bits whether its tree sits under a super root and which node --pos is.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error.
 """
@@ -22,7 +24,7 @@ from .dynamic import (
     redblack_check,
     wf_check,
 )
-from .louds import Louds, _louds_bytes, parse_tree, with_super_root
+from .louds import Louds, Tree, _louds_bytes, parse_tree, with_super_root
 from .oracle import tree_navigate
 from .spec import louds_position
 from .verify import (
@@ -44,9 +46,9 @@ class ScriptError(ValueError):
 
 
 def parse_script(text: str) -> list[tuple[int, tuple]]:
-    """One op per line: insert <i> <0|1> | delete <i> | set <i> |
-    clear <i> | rank <i> | select0 <k> | select1 <k> | access <i>.
-    Blank lines and #-comments are skipped."""
+    """One op per line: a name from ``verify.OPS`` and the integer arguments
+    its entry counts, insert <i> <0|1>, select0 <k> and select1 <k>, the
+    rest <i>.  Blank lines and #-comments are skipped."""
     steps: list[tuple[int, tuple]] = []
     for lineno, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0].strip()
@@ -56,8 +58,8 @@ def parse_script(text: str) -> list[tuple[int, tuple]]:
         name, rest = parts[0], parts[1:]
         if name not in OPS:
             raise ScriptError(lineno, f"unknown op {name!r}")
-        if len(rest) != OPS[name]:
-            raise ScriptError(lineno, f"{name} takes {OPS[name]} argument(s)")
+        if len(rest) != (arity := OPS[name][0]):
+            raise ScriptError(lineno, f"{name} takes {arity} argument(s)")
         try:
             nums = [int(x) for x in rest]
         except ValueError:
@@ -87,16 +89,6 @@ def _at_least(least: int):
         return int(text)
 
     return count
-
-
-def _path_arg(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
-        return []
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad path {text!r}") from None
 
 
 def _fail(message: str, code: int) -> int:
@@ -133,6 +125,8 @@ def _cmd_louds_build(args) -> int:
 
 def _load_bits(args) -> list[int]:
     if args.bits_file is not None:
+        if args.bits is not None:
+            raise ValueError("give a bit string or --bits-file, not both")
         return _parse_file(args.bits_file, parse_bits)
     if args.bits is None:
         raise ValueError("provide a bit string or --bits-file")
@@ -140,10 +134,8 @@ def _load_bits(args) -> list[int]:
 
 
 def _cmd_louds_query(args) -> int:
-    if args.verify is None and (args.path is not None or args.super_root):
-        return _fail("--path and --super-root only apply with --verify", 2)
     try:
-        nav = Louds(_load_bits(args))
+        nav = Louds(bits := _load_bits(args))
         if args.op == "children":
             result = nav.children(args.pos)
         elif args.op == "child":
@@ -152,41 +144,43 @@ def _cmd_louds_query(args) -> int:
             result = nav.child(args.pos, args.index)
         else:
             result = nav.parent(args.pos)
+        tree = None if args.verify is None else _parse_file(args.verify, parse_tree)
     except (OSError, ValueError) as e:
         return _fail(str(e), 2)
-    if args.verify is not None:
-        code = _verify_query(args, result)
-        if code != 0:
-            return code
+    if tree is not None and (error := _verify_query(args, tree, bytes(bits), result)):
+        return _fail(error, 1)
     print(result)
     return 0
 
 
-def _verify_query(args, result: int) -> int:
-    """Re-derive the query on the inductive tree and compare."""
-    path = args.path if args.path is not None else []
-    try:
-        tree = _parse_file(args.verify, parse_tree)
-        if args.super_root:
-            tree = with_super_root(tree)
-        forest = [tree]
-        nav = tree_navigate(tree, path)
-        want_pos = louds_position(forest, path)
-        if args.pos != want_pos:
-            return _fail(
-                f"--pos {args.pos} is not the position of path {path} (oracle: {want_pos})", 1
-            )
-        if args.op == "children":
-            want = nav["children"]
-        elif args.op == "child":
-            want = louds_position(forest, list(path) + [args.index])
-        else:
-            want = louds_position(forest, path[:-1])
-    except (OSError, ValueError) as e:
-        return _fail(str(e), 2)
+def _verify_query(args, tree: Tree, bits: bytes, result: int) -> str | None:
+    """What is wrong with result, or None.  bits must encode tree, bare or
+    under a super root; the query is then re-derived on that tree at the
+    path of --pos, which one level-order walk finds."""
+    # the two encodings differ in length by 2, so at most one matches
+    tree = next((t for t in (tree, with_super_root(tree)) if _louds_bytes(t) == bits), None)
+    if tree is None:
+        return f"the bits are not the encoding of {args.verify}, bare or under a super root"
+    # each node with its path as nested (child ordinal, parent's path) pairs
+    queue, start = [(tree, ())], 0
+    for node, link in queue:  # the loop walks the queue while it grows
+        if start == args.pos:  # a node position of bits, so the walk gets here
+            break
+        start += len(node.children) + 1
+        queue += ((child, (i, link)) for i, child in enumerate(node.children))
+    path = []
+    while link:
+        i, link = link
+        path.append(i)
+    path.reverse()
+    if args.op == "children":
+        want = tree_navigate(tree, path)["children"]
+    elif args.op == "child":
+        want = louds_position([tree], path + [args.index])
+    else:
+        want = louds_position([tree], path[:-1])
     if result != want:
-        return _fail(f"{args.op} mismatch: encoding says {result}, oracle says {want}", 1)
-    return 0
+        return f"{args.op} mismatch: encoding says {result}, oracle says {want}"
 
 
 def _cmd_dbv_run(args) -> int:
@@ -271,9 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits-file", help="read the bit string from a file instead")
     p.add_argument("--pos", type=int, required=True, help="bit position of the node")
     p.add_argument("--index", type=int, help="child ordinal (for child)")
-    p.add_argument("--verify", metavar="TREE_FILE", help="cross-check against this tree")
-    p.add_argument("--path", type=_path_arg, help="comma-separated path of --pos (with --verify)")
-    p.add_argument("--super-root", action="store_true", help="wrap the verify tree first")
+    p.add_argument("--verify", metavar="TREE_FILE",
+                   help="cross-check against this tree, bare or under a super root")
     p.set_defaults(func=_cmd_louds_query)
 
     p = sub.add_parser("dbv-run", help="replay a dynamic bit vector op script")

@@ -33,7 +33,6 @@ from .spec import lo_traversal, lo_traversal_lt, lo_traversal_st, louds_position
 
 __all__ = [
     "OPS",
-    "QUERIES",
     "ScriptRunner",
     "VerifyError",
     "check_encoding",
@@ -166,17 +165,26 @@ def random_script(rng: Random, n_ops: int = 200, size: int = 0) -> list[tuple]:
     return ops
 
 
-# script ops: the DynamicBitVector method of each name and its argument
-# count; a query returns its answer, an update returns nothing
-OPS = dict(insert=2, delete=1, set=1, clear=1, rank=1, select0=1, select1=1, access=1)
-QUERIES = frozenset({"rank", "select0", "select1", "access"})
+# script ops, each the DynamicBitVector method of its name: the argument
+# count, whether dbv-run prints the answer, and the op's meaning on the flat
+# list, (flat, *args) -> (flat after, the answer the method must return)
+OPS = {
+    "insert": (2, False, lambda s, i, b: (insert1(s, b, i), None)),
+    "delete": (1, False, lambda s, i: (delete_at(s, i), None)),
+    "set": (1, False, lambda s, i: (update_at(s, i, 1), s[i] == 0)),
+    "clear": (1, False, lambda s, i: (update_at(s, i, 0), s[i] == 1)),
+    "rank": (1, True, lambda s, i: (s, oracle_rank(1, i, s))),
+    "select0": (1, True, lambda s, k: (s, oracle_select(0, k, s))),
+    "select1": (1, True, lambda s, k: (s, oracle_select(1, k, s))),
+    "access": (1, True, lambda s, i: (s, s[i])),
+}
 
 
 class ScriptRunner:
     """Applies script ops to a ``DynamicBitVector``; with verify on,
-    mirrors every op on a flat list and checks results plus structural
-    invariants after each step.  With verify off there is no mirror and
-    no oracle call."""
+    mirrors every op on a flat list and checks its answer plus the
+    structural invariants after each step.  With verify off there is no
+    mirror and no oracle call."""
 
     def __init__(self, bounds: SizeBounds, verify: bool = False, tree: DTree | None = None):
         self.vector = DynamicBitVector(bounds=bounds)
@@ -199,37 +207,21 @@ class ScriptRunner:
 
     def step(self, op: tuple) -> int | None:
         kind = op[0]
-        arity = OPS.get(kind)
-        if arity is None:
+        entry = OPS.get(kind)
+        if entry is None:
             raise ValueError(f"unknown op {kind!r}")
+        arity, prints, meaning = entry
         if len(op) != arity + 1:
             raise ValueError(f"{kind} takes {arity} argument(s), got {len(op) - 1}")
         method = getattr(self.vector, kind)
         result = method(op[1], op[2]) if arity == 2 else method(op[1])
         self.steps += 1
         if self.verify:
-            self._mirror(op, result)
+            self.flat, want = meaning(self.flat, *op[1:])
+            if result != want:
+                raise VerifyError(f"step {self.steps} {op}: got {result}, oracle says {want}")
             self._check_invariants(op)
-        return result if kind in QUERIES else None
-
-    def _mirror(self, op: tuple, got: int | None) -> None:
-        """Apply op to the flat list, or check a query's answer on it."""
-        kind, i, flat = op[0], op[1], self.flat
-        if kind == "insert":
-            self.flat = insert1(flat, op[2], i)
-        elif kind == "delete":
-            self.flat = delete_at(flat, i)
-        elif kind in ("set", "clear"):
-            self.flat = update_at(flat, i, 1 if kind == "set" else 0)
-        else:
-            if kind == "rank":
-                want = oracle_rank(1, i, flat)
-            elif kind == "access":
-                want = flat[i]
-            else:
-                want = oracle_select(1 if kind == "select1" else 0, i, flat)
-            if got != want:
-                raise VerifyError(f"step {self.steps} {op}: got {got}, oracle says {want}")
+        return result if prints else None
 
     def _check_invariants(self, op) -> None:
         if dflatten(self.tree) != self.flat:

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from samples import LOUDS21_TEXT, TREE10_TEXT, del_borrow_sample
 from succinct import dump
 from succinct.dynamic import Leaf
-from succinct.louds import number_of_nodes
+from succinct.louds import Louds, number_of_nodes
 from succinct.cli import main, parse_script, ScriptError
 from succinct.verify import ScriptRunner, VerifyError, random_script, random_tree
 from succinct import DynamicBitVector, SizeBounds, format_tree
@@ -153,36 +154,19 @@ class TestLoudsQuery:
 
     def test_verify_against_tree(self, capsys, tree_file):
         code, out, _ = run(
-            capsys,
-            "louds-query",
-            "children",
-            LOUDS21_TEXT,
-            "--pos",
-            "17",
-            "--verify",
-            tree_file,
-            "--super-root",
-            "--path",
-            "0,2,1",
+            capsys, "louds-query", "children", LOUDS21_TEXT, "--pos", "17", "--verify", tree_file
         )
         assert (code, out.strip()) == (0, "1")
 
-    def test_verify_rejects_wrong_position(self, capsys, tree_file):
-        code, _, err = run(
-            capsys,
-            "louds-query",
-            "children",
-            LOUDS21_TEXT,
-            "--pos",
-            "10",
-            "--verify",
-            tree_file,
-            "--super-root",
-            "--path",
-            "0,2,1",
+    def test_verify_rejects_bits_of_another_tree(self, capsys, tmp_path):
+        # a valid encoding whose root has as many children as A's root
+        path = tmp_path / "A.tree"
+        path.write_text("(a (b) (c))")
+        code, out, err = run(
+            capsys, "louds-query", "children", "1101000", "--pos", "0", "--verify", str(path)
         )
-        assert code == 1
-        assert "oracle" in err
+        assert (code, out) == (1, "")
+        assert "not the encoding of" in err
 
     def test_verify_child_and_parent(self, capsys, tree_file):
         code, out, _ = run(
@@ -196,31 +180,64 @@ class TestLoudsQuery:
             "1",
             "--verify",
             tree_file,
-            "--super-root",
-            "--path",
-            "0,2",
         )
         assert (code, out.strip()) == (0, "17")
         code, out, _ = run(
-            capsys,
-            "louds-query",
-            "parent",
-            LOUDS21_TEXT,
-            "--pos",
-            "17",
-            "--verify",
-            tree_file,
-            "--super-root",
-            "--path",
-            "0,2,1",
+            capsys, "louds-query", "parent", LOUDS21_TEXT, "--pos", "17", "--verify", tree_file
         )
         assert (code, out.strip()) == (0, "10")
 
+    def test_verify_catches_a_wrong_answer(self, capsys, tree_file, monkeypatch):
+        child = Louds.child
+        monkeypatch.setattr(Louds, "child", lambda self, v, i: child(self, v, i) + 1)
+        code, out, err = run(
+            capsys, "louds-query", "child", LOUDS21_TEXT, "--pos", "10", "--index", "1",
+            "--verify", tree_file,
+        )
+        assert (code, out) == (1, "")
+        assert "mismatch" in err
+
+    @pytest.mark.parametrize(
+        "text, bits, last, parent",
+        [
+            ("(r" + " (c)" * 300 + ")", "1" * 300 + "0" * 301, 600, 0),
+            (" ".join(f"({k}" for k in range(3000)) + ")" * 3000, "10" * 2999 + "0", 5998, 5996),
+        ],
+        ids=["300-children", "3000-deep"],
+    )
+    def test_verify_on_wide_and_deep_trees(self, capsys, tmp_path, text, bits, last, parent):
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        for op, want in (("children", 0), ("parent", parent)):
+            start = time.perf_counter()
+            code, out, _ = run(
+                capsys, "louds-query", op, bits, "--pos", str(last), "--verify", str(path)
+            )
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (0, f"{want}\n")
+
     @pytest.mark.parametrize("option", [["--path", "0,2,1"], ["--super-root"]])
-    def test_verify_options_need_verify(self, capsys, option):
-        code, out, err = run(capsys, "louds-query", "parent", LOUDS21_TEXT, "--pos", "17", *option)
+    def test_removed_verify_options_are_usage_errors(self, capsys, tree_file, option):
+        with pytest.raises(SystemExit) as exit_:
+            main(["louds-query", "parent", LOUDS21_TEXT, "--pos", "17", "--verify", tree_file,
+                  *option])
+        captured = capsys.readouterr()
+        assert (exit_.value.code, captured.out) == (2, "")
+        assert "unrecognized arguments" in captured.err and "Traceback" not in captured.err
+
+    def test_bit_string_and_bits_file_exclude_each_other(self, capsys, tmp_path):
+        path = tmp_path / "bits.txt"
+        path.write_text(LOUDS21_TEXT)
+        code, out, err = run(
+            capsys, "louds-query", "children", "0", "--bits-file", str(path), "--pos", "0"
+        )
         assert (code, out) == (2, "")
-        assert "--verify" in err and "Traceback" not in err
+        assert "bit string or --bits-file, not both" in err
+
+    def test_bits_are_required(self, capsys):
+        code, out, err = run(capsys, "louds-query", "children", "--pos", "0")
+        assert (code, out) == (2, "")
+        assert "provide a bit string or --bits-file" in err
 
 
 class TestDbvRun:
@@ -552,6 +569,16 @@ class TestRunnerDivergenceDetection:
         runner.flat = [1]  # corrupt the oracle state
         with pytest.raises(VerifyError, match=r"^step 1 "):
             runner.step(op)
+
+    @pytest.mark.parametrize("kind, bit", [("set", 1), ("clear", 0)])
+    def test_update_flags_are_checked(self, monkeypatch, kind, bit):
+        # the bit already holds the value, so the update must report no change
+        update = getattr(DynamicBitVector, kind)
+        monkeypatch.setattr(DynamicBitVector, kind, lambda self, i: update(self, i) or True)
+        runner = ScriptRunner(SizeBounds(1, 2), verify=True)
+        runner.step(("insert", 0, bit))
+        with pytest.raises(VerifyError, match=re.escape(f"step 2 ('{kind}', 0)")):
+            runner.step((kind, 0))
 
     def test_bad_initial_tree_is_detected(self):
         from succinct.dynamic import Leaf
