@@ -158,17 +158,18 @@ def _halve(word: int, r: int, steps: tuple[tuple[int, int], ...]) -> int:
     return offset + _IN_BYTE[word << 3 | r - 1]
 
 
-def _word_select(word: int, length: int, i: int) -> int:
-    """1-based position of the i-th 1 of a ``length``-bit word, with
-    select's conventions: 0 for i == 0, length + 1 when the word holds
-    fewer than i 1s."""
+def _word_select(word: int, i: int) -> int:
+    """1-based position of the i-th 1 below the sentinel 1 of a ``dynamic``
+    leaf, with select's conventions: 0 for i == 0, and the sentinel's,
+    length + 1, when fewer than i 1s lie below it.  The halving spans the
+    sentinel too, or a step could keep a half wider than its width."""
     if i < 0:
         raise ValueError("occurrence ordinal must be non-negative")
     if i == 0:
         return 0
-    if i > word.bit_count():
-        return length + 1
-    return _halve(word, i, _halves((length - 1).bit_length())) + 1
+    if i >= word.bit_count():
+        return word.bit_length()
+    return _halve(word, i, _halves((word.bit_length() - 1).bit_length())) + 1
 
 
 _HALVES = _halves(6)  # the steps for one 64-bit BitVector word

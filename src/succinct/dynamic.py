@@ -1,18 +1,20 @@
 """Dynamic bit vectors on red-black trees.
 
-Each leaf packs its bits into one Python int, bit j of the leaf being
-bit j of the word (LSB first, as in ``bitvec.BitVector``), so in-leaf
-rank, select, access, insert, delete, split and merge are masks, shifts
-and ``int.bit_count`` -- the word operations the leaf window of w^2/2 to
-2w^2 bits is sized for.  Every internal node keeps the pair (num, ones)
-= bit count and 1-count of its left subtree, so queries steer left or
-right without touching the bits.  Leaves hold between ``low`` and
-``high - 1`` bits (a lone root leaf may be smaller); a leaf that reaches
-``high`` on insertion splits in two, and a leaf that would drop below
-``low`` on deletion borrows a bit from a sibling leaf or merges with it.
-``from_bits`` builds a balanced tree of evenly filled leaves in O(n).
-Every operation walks from the root to one leaf once: an index past
-either end steers to the end leaf, whose offset check is the range check.
+Each leaf is one Python int: bit j of the leaf is bit j of the int (LSB
+first, as in ``bitvec.BitVector``), and a sentinel 1 past the last bit
+carries the length, so a leaf is ``word | 1 << length``.  In-leaf rank,
+select, access, insert, delete, split and merge are masks, shifts and
+``int.bit_count`` that carry the sentinel along -- the word operations
+the leaf window of w^2/2 to 2w^2 bits is sized for.  Every internal node
+keeps the pair (num, ones) = bit count and 1-count of its left subtree,
+so queries steer left or right without touching the bits.  Leaves hold
+between ``low`` and ``high - 1`` bits (a lone root leaf may be smaller);
+a leaf that reaches ``high`` on insertion splits in two, and a leaf that
+would drop below ``low`` on deletion borrows a bit from a sibling leaf
+or merges with it.  ``from_bits`` builds a balanced tree of evenly
+filled leaves in O(n).  Every operation walks from the root to one leaf
+once: an index past either end steers to the end leaf, whose offset
+check is the range check.
 
 Updates are purely functional: they return new trees that share all
 untouched subtrees with the input.  ``dflatten`` defines the meaning of
@@ -26,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Iterable
 
 from .bitvec import _FROM_ASCII, _ascii_bits, _text_bits, _word_select
@@ -67,26 +70,40 @@ RED = Color.RED
 BLACK = Color.BLACK
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Leaf:
-    """``length`` bits packed LSB-first: bit j of the leaf is bit j of
-    ``word``, and ``word`` has no bit at or past ``length``."""
+class Leaf(int):
+    """``length`` bits packed LSB-first below a sentinel 1: the int
+    ``word | 1 << length``, immutable and equal and hashed by content;
+    ``word`` and ``length`` are read-only views of it."""
 
-    word: int
-    length: int
+    __slots__ = ()
 
-    def __init__(self, word: int, length: int):
-        # the slots' own setters: the generated __init__ calls object.__setattr__ per field
-        _set_word(self, word)
-        _set_length(self, length)
+    def __new__(cls, word: int, length: int) -> "Leaf":
+        if word < 0 or length < 0 or word >> length:
+            raise ValueError(f"a leaf of {length} bits cannot hold the word {word}")
+        return _leaf(word | 1 << length)
 
     @classmethod
     def of(cls, bits: Iterable[int]) -> "Leaf":
         """The leaf holding ``bits``, index 0 first."""
         return _leaf_of_text(_ascii_bits(bits))
 
+    @property
+    def word(self) -> int:
+        return self ^ 1 << self.bit_length() - 1
 
-_set_word, _set_length = Leaf.word.__set__, Leaf.length.__set__
+    @property
+    def length(self) -> int:
+        return self.bit_length() - 1
+
+    def __repr__(self):
+        return f"Leaf(word={self.word}, length={self.length})"
+
+    def __reduce__(self):
+        return Leaf, (self.word, self.length)
+
+
+# the unchecked constructor, for an int that already carries its sentinel
+_leaf = partial(int.__new__, Leaf)
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
@@ -173,29 +190,24 @@ DEFAULT_BOUNDS = SizeBounds.from_w(64)
 # leaf words
 
 
-def _leaf_of_text(text: str | bytes) -> Leaf:
-    """The leaf spelled by a '0'/'1' string, index 0 first."""
-    return Leaf(int(text[::-1], 2) if text else 0, len(text))
+def _leaf_of_text(text: bytes) -> Leaf:
+    """The leaf spelled by '0'/'1' bytes, index 0 first."""
+    return _leaf(int(b"1" + text[::-1], 2))
 
 
 def _leaf_text(leaf: Leaf) -> str:
     """The '0'/'1' string of a leaf, index 0 first."""
-    return bin(leaf.word | 1 << leaf.length)[3:][::-1]
+    return bin(leaf)[3:][::-1]
 
 
 def _split(leaf: Leaf, k: int) -> tuple[Leaf, Leaf]:
     """The first k bits of a leaf and the rest."""
-    return Leaf(leaf.word & ((1 << k) - 1), k), Leaf(leaf.word >> k, leaf.length - k)
+    return _leaf(leaf & (1 << k) - 1 | 1 << k), _leaf(leaf >> k)
 
 
 def _join(a: Leaf, b: Leaf) -> Leaf:
-    return Leaf(a.word | b.word << a.length, a.length + b.length)
-
-
-def _without(leaf: Leaf, i: int) -> Leaf:
-    """The leaf with bit i removed."""
-    word = leaf.word
-    return Leaf(word & ((1 << i) - 1) | word >> (i + 1) << i, leaf.length - 1)
+    """a's bits, then b's: the -1 in b - 1 cancels a's sentinel."""
+    return _leaf(a + (b - 1 << a.bit_length() - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +235,7 @@ def dsize(t: DTree) -> int:
     while isinstance(t, Node):
         total += t.num
         t = t.right
-    return total + t.length
+    return total + t.bit_length() - 1
 
 
 def drank(t: DTree, i: int) -> int:
@@ -238,9 +250,10 @@ def drank(t: DTree, i: int) -> int:
             acc += t.ones
             i -= t.num
             t = t.right
-    if i >= t.length:
-        return acc + t.word.bit_count()
-    return acc + (t.word & ((1 << i) - 1)).bit_count()
+    # never t >> i: for a small i it copies the whole leaf
+    if i < t.bit_length():
+        return acc + (t & (1 << i) - 1).bit_count()
+    return acc + t.bit_count() - 1
 
 
 def dselect1(t: DTree, i: int) -> int:
@@ -253,7 +266,7 @@ def dselect1(t: DTree, i: int) -> int:
             acc += t.num
             i -= t.ones
             t = t.right
-    return acc + _word_select(t.word, t.length, i)
+    return acc + _word_select(t, i)
 
 
 def dselect0(t: DTree, i: int) -> int:
@@ -267,7 +280,7 @@ def dselect0(t: DTree, i: int) -> int:
             acc += t.num
             i -= zeros
             t = t.right
-    return acc + _word_select(~t.word & ((1 << t.length) - 1), t.length, i)
+    return acc + _word_select(t ^ (1 << t.bit_length() - 1) - 1, i)
 
 
 def daccess(t: DTree, i: int) -> int:
@@ -278,9 +291,9 @@ def daccess(t: DTree, i: int) -> int:
         else:
             j -= t.num
             t = t.right
-    if not 0 <= j < t.length:
+    if j < 0 or (x := t >> j) < 2:
         raise IndexError(f"bit index {i} out of range")
-    return t.word >> j & 1
+    return x & 1
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +307,8 @@ def _measure(t: DTree, low: int, high: int) -> tuple[bool, int, int]:
     done: list[tuple[int, int]] = []  # (size, ones) of finished subtrees
     for x in reversed(_preorder(t)):
         if isinstance(x, Leaf):
-            ok = ok and low <= x.length < high and x.word >> x.length == 0
-            done.append((x.length, x.word.bit_count()))
+            ok = ok and x > 0 and low <= x.length < high
+            done.append((x.length, x.bit_count() - 1))
         else:
             (num, ones), (size_r, ones_r) = done.pop(), done.pop()
             ok = ok and x.num == num and x.ones == ones
@@ -387,16 +400,15 @@ def _dins(t: DTree, b: int, i: int, bounds: SizeBounds) -> DTree:
     way back up, a black node lifts a red grandchild under a red child
     (Okasaki's balance)."""
     if isinstance(t, Leaf):
-        if not 0 <= i <= t.length:
+        if i < 0 or not (x := t >> i):
             raise IndexError("insert position out of range")
         if not (isinstance(b, int) and 0 <= b <= 1):
             raise ValueError(f"bit must be 0 or 1, got {b!r}")
-        word = t.word
-        grown = Leaf(word & ((1 << i) - 1) | b << i | word >> i << (i + 1), t.length + 1)
-        if grown.length == bounds.high:
+        grown = t & (1 << i) - 1 | b << i | x << i + 1
+        if grown.bit_length() > bounds.high:
             left, right = _split(grown, (bounds.high + 1) // 2)
-            return Node(RED, left, left.length, left.word.bit_count(), right)
-        return grown
+            return Node(RED, left, left.bit_length() - 1, left.bit_count() - 1, right)
+        return _leaf(grown)
     c = t.color
     if i < t.num:
         l, num, ones, r = _dins(t.left, b, i, bounds), t.num + 1, t.ones + b, t.right
@@ -422,11 +434,11 @@ def dinsert(t: DTree, b: int, i: int, bounds: SizeBounds) -> DTree:
 
 def _dset(t: DTree, i: int, value: int) -> tuple[DTree, bool]:
     if isinstance(t, Leaf):
-        if not 0 <= i < t.length:
+        if i < 0 or (x := t >> i) < 2:
             raise IndexError("bit index out of range")
-        if t.word >> i & 1 == value:
+        if x & 1 == value:
             return t, False
-        return Leaf(t.word ^ 1 << i, t.length), True
+        return _leaf(t ^ 1 << i), True
     if i < t.num:
         left, changed = _dset(t.left, i, value)
         if not changed:
@@ -482,9 +494,9 @@ def _fix_left_short(c: Color, l: DTree, num: int, ones: int, r: DTree, low: int)
       color c, else turns red, one black level short under a black c.
     """
     if isinstance(r, Leaf):
-        if r.length > low:
+        if r.bit_length() > low + 1:
             head, rest = _split(r, 1)
-            return Node(c, _join(l, head), num + 1, ones + head.word, rest), False
+            return Node(c, _join(l, head), num + 1, ones + (r & 1), rest), False
         return _join(l, r), c is BLACK
     if r.color is RED:
         inner, short = _fix_left_short(RED, l, num, ones, r.left, low)
@@ -499,9 +511,9 @@ def _fix_right_short(c: Color, l: DTree, num: int, ones: int, r: DTree, low: int
     """Mirror of _fix_left_short for a short right subtree ``r``; num and
     ones describe the sibling ``l``, and a leaf there lends its last bit."""
     if isinstance(l, Leaf):
-        if l.length > low:
+        if l.bit_length() > low + 1:
             rest, tail = _split(l, num - 1)
-            return Node(c, rest, num - 1, ones - tail.word, _join(tail, r)), False
+            return Node(c, rest, num - 1, ones - (tail & 1), _join(tail, r)), False
         return _join(l, r), c is BLACK
     if l.color is RED:
         inner, short = _fix_right_short(RED, l.right, num - l.num, ones - l.ones, r, low)
@@ -515,9 +527,9 @@ def _fix_right_short(c: Color, l: DTree, num: int, ones: int, r: DTree, low: int
 def _ddel(t: DTree, i: int, low: int) -> tuple[DTree, bool, int]:
     """Delete bit i of a subtree of a well-formed red-black tree."""
     if isinstance(t, Leaf):
-        if not 0 <= i < t.length:
+        if i < 0 or (x := t >> i) < 2:
             raise IndexError("delete position out of range")
-        return _without(t, i), t.length <= low, t.word >> i & 1
+        return _leaf(t & (1 << i) - 1 | x >> 1 << i), t.bit_length() <= low + 1, x & 1
     c, l, num, ones, r = t.color, t.left, t.num, t.ones, t.right
     if i < num:
         l, short, b = _ddel(l, i, low)
@@ -568,7 +580,7 @@ def _build(leaves: list[Leaf], lo: int, hi: int, bh: int) -> tuple[DTree, int, i
     wherever two leaves remain."""
     if hi - lo == 1:
         leaf = leaves[lo]
-        return leaf, leaf.length, leaf.word.bit_count()
+        return leaf, leaf.bit_length() - 1, leaf.bit_count() - 1
     mid = (lo + hi) // 2
     left, num, ones = _build(leaves, lo, mid, bh - 1)
     right, size_r, ones_r = _build(leaves, mid, hi, bh - 1)

@@ -60,7 +60,7 @@ class Tree:
     children: tuple["Tree", ...] = ()
 
     def __init__(self, label: Any = None, children: Iterable["Tree"] = ()):
-        # the slots' own setters, as in dynamic.Leaf: cheaper than the generated __init__
+        # the slots' own setters, as in dynamic.Node: cheaper than the generated __init__
         _set_label(self, label)
         _set_children(self, tuple(children))
 

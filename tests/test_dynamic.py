@@ -1,9 +1,10 @@
 import copy
+import gc
 import math
 import pickle
 import random
+import sys
 import time
-from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -767,15 +768,61 @@ def test_leaf_is_a_hashable_frozen_value():
     assert Leaf.of([1, 0]) != Leaf.of([1, 0, 0])
     assert len({a, Leaf.of([1, 0, 1]), Leaf.of([])}) == 2
     assert hash(dbv_sample()) == hash(dbv_sample())
-    with pytest.raises(FrozenInstanceError):
-        a.word = 0
-    with pytest.raises(FrozenInstanceError):
-        a.length = 4
+    for copied in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert type(copied) is Leaf and copied == a and hash(copied) == hash(a)
+    for name in ("word", "length", "bits"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+    with pytest.raises(AttributeError):
+        del a.word
+    assert not hasattr(a, "__dict__")
+    assert (a.word, a.length) == (0b101, 3)
 
 
-def test_wf_check_rejects_stray_word_bits():
-    assert not wf_check(Leaf(0b1101, 3), BOUNDS)
-    assert not wf_check(Leaf(-1, 3), BOUNDS)
+def test_leaf_rejects_stray_word_bits():
+    # under the sentinel, Leaf(0b1101, 3) would be the 3-bit leaf 0b101
+    for word, length in ((0b1101, 3), (-1, 3), (1, 0), (0, -1), (1 << 64, 64)):
+        with pytest.raises(ValueError):
+            Leaf(word, length)
+    assert Leaf(0, 0) == Leaf.of([]) and Leaf((1 << 64) - 1, 64) == Leaf.of([1] * 64)
+
+
+def test_wf_check_rejects_a_leaf_below_one():
+    # an int below 1 spells no leaf; -(1 << low) would pass the window
+    # and the counts, reading as a low-bit leaf of 0s
+    full = Leaf.of([0] * BOUNDS.low)
+    for value in (0, -1, -(1 << BOUNDS.low)):
+        bad = int.__new__(Leaf, value)
+        assert not wf_check(bad, BOUNDS)
+        assert not wf_check(Node(BLACK, full, BOUNDS.low, 0, bad), BOUNDS)
+    assert wf_check(Node(BLACK, full, BOUNDS.low, 0, full), BOUNDS)
+
+
+def _retained_bytes(root):
+    """Bytes of every object reachable from root, each counted once,
+    leaving out small ints, None, types and enum members, which the
+    interpreter shares."""
+    seen, total, stack = set(), 0, [root]
+    while stack:
+        x = stack.pop()
+        shared = type(x) is int and -5 <= x <= 256 or x is None or isinstance(x, (type, Color))
+        if id(x) in seen or shared:
+            continue
+        seen.add(id(x))
+        total += sys.getsizeof(x)
+        stack += gc.get_referents(x)
+    return total
+
+
+def test_space_is_one_int_per_leaf():
+    # a leaf is its int plus the collector's header, and refers only to its class
+    rng = random.Random(71)
+    leaf = Leaf(rng.getrandbits(5000), 5000)
+    assert sys.getsizeof(leaf) <= sys.getsizeof(int(leaf)) + 16
+    assert gc.get_referents(leaf) == [Leaf]
+    n = 10**5
+    t = from_bits([rng.getrandbits(1) for _ in range(n)], DEFAULT_BOUNDS)
+    assert _retained_bytes(t) / n <= 0.17
 
 
 class TestBitRule:
@@ -912,3 +959,92 @@ def test_ops_at_every_leaf_edge_match_oracle(bits, bit):
             else:
                 check_state(got[0] if isinstance(got, tuple) else got, want, bounds)
         assert _outcome(daccess, t, i) == _outcome(_flat_access, bits, i)
+
+
+# ---------------------------------------------------------------------------
+# sentinel leaves: a leaf is the int word | 1 << length, so its edges are
+# where the sentinel crosses one of CPython's 30-bit digits or a power of
+# two, and the ordinals and offsets beside it
+
+SENTINEL_LENGTHS = [0, 1, 29, 30, 31, 59, 60, 61, 63, 64, 65, 127, 128, 129,
+                    DEFAULT_BOUNDS.low - 1, DEFAULT_BOUNDS.low, DEFAULT_BOUNDS.high - 1]
+
+
+def _sentinel_cases():
+    """Random bits at each edge length, and each power of two of 0s and of 1s."""
+    rng = random.Random(67)
+    cases = [pytest.param([rng.getrandbits(1) for _ in range(n)], id=str(n)) for n in SENTINEL_LENGTHS]
+    for n in (64, 2048, 4096, 8192):
+        cases += [pytest.param([bit] * n, id=f"{n}x{bit}") for bit in (0, 1)]
+    return cases
+
+
+SENTINEL_CASES = _sentinel_cases()
+
+
+@pytest.mark.parametrize("bits", SENTINEL_CASES)
+def test_sentinel_leaf_queries_match_oracle(bits):
+    leaf, n = Leaf.of(bits), len(bits)
+    word = sum(bit << j for j, bit in enumerate(bits))
+    assert leaf == Leaf(word, n) and int(leaf) == word | 1 << n
+    assert (leaf.word, leaf.length, dsize(leaf), dflatten(leaf)) == (word, n, n, bits)
+    assert parse_dump(dump(leaf)) == leaf
+    for i in sorted({0, 1, n - 1, n, n + 1} - {-1}):
+        assert drank(leaf, i) == oracle_rank(1, i, bits), i
+    start = time.perf_counter()
+    assert drank(leaf, 10**12) == bits.count(1)
+    assert time.perf_counter() - start < 0.1
+    rng = random.Random(n)
+    for bit, dselect in ((0, dselect0), (1, dselect1)):
+        count = bits.count(bit)
+        ordinals = {0, 1, count - 1, count, count + 1, count + 2, 10**12}
+        ordinals |= set(rng.sample(range(count + 1), min(count + 1, 16)))
+        for k in sorted(ordinals - {-1}):
+            assert dselect(leaf, k) == oracle_select(bit, k, bits), (bit, k)
+    for i in (-1, 0, n - 1, n, n + 1):
+        assert _outcome(daccess, leaf, i) == _outcome(_flat_access, bits, i)
+
+
+@pytest.mark.parametrize("bits", SENTINEL_CASES)
+def test_sentinel_leaf_updates_match_oracle(bits):
+    """Each update at -1, 0, the last offset, the length and one past it,
+    on the leaf as a lone root; at the default bounds a leaf of high - 1
+    bits splits on insertion."""
+    leaf, n = Leaf.of(bits), len(bits)
+    bounds = DEFAULT_BOUNDS if n < DEFAULT_BOUNDS.high else SizeBounds(DEFAULT_BOUNDS.low, 2 * n)
+    for i in sorted({-1, 0, n - 1, n, n + 1}):
+        for got, want in (
+            (_outcome(dinsert, leaf, 0, i, bounds), _outcome(insert1, bits, 0, i)),
+            (_outcome(dinsert, leaf, 1, i, bounds), _outcome(insert1, bits, 1, i)),
+            (_outcome(ddelete, leaf, i, bounds), _outcome(delete_at, bits, i)),
+            (_outcome(dset, leaf, i), _outcome(update_at, bits, i, 1)),
+            (_outcome(dclear, leaf, i), _outcome(update_at, bits, i, 0)),
+        ):
+            if want is IndexError:
+                assert got is IndexError, i
+            else:
+                check_state(got[0] if isinstance(got, tuple) else got, want, bounds)
+
+
+@pytest.mark.parametrize("bounds", [SizeBounds(30, 61), SizeBounds(32, 64), SizeBounds(64, 129)], ids=str)
+def test_splits_borrows_and_merges_across_digit_edges(bounds):
+    """Mostly inserts, then mostly deletes, at windows whose splits,
+    borrows and merges make leaves of digit-edge and power-of-two lengths."""
+    rng = random.Random(bounds.high)
+    flat = [rng.getrandbits(1) for _ in range(2 * bounds.high)]
+    t, seen = from_bits(flat, bounds), set()
+    for step in range(400):
+        if not flat or rng.random() < (0.9 if step < 200 else 0.1):
+            i, bit = rng.randint(0, len(flat)), rng.getrandbits(1)
+            t, flat = dinsert(t, bit, i, bounds), insert1(flat, bit, i)
+        else:
+            i = rng.randrange(len(flat))
+            t, flat = ddelete(t, i, bounds), delete_at(flat, i)
+        check_state(t, flat, bounds)
+        seen |= {node.length for _, node in _levels(t) if isinstance(node, Leaf)}
+        i, k = rng.randint(0, len(flat) + 1), rng.randint(0, len(flat) + 1)
+        assert drank(t, i) == oracle_rank(1, i, flat)
+        assert dselect0(t, k) == oracle_select(0, k, flat)
+        assert dselect1(t, k) == oracle_select(1, k, flat)
+    # a merge of a short leaf with a minimal one, and both split halves
+    assert {2 * bounds.low - 1, bounds.high // 2, (bounds.high + 1) // 2} <= seen

@@ -33,6 +33,7 @@ BENCHMARK_LOOKUPS = {
     louds: ["rank", "select", "succ", "pred", "parse_tree"],
     louds.Louds: ["encode", "children", "child", "parent", "bits"],
     dynamic: ["from_bits", "parse_dump", "Node", "Leaf", "RED"],
+    dynamic.Leaf: ["word", "length", "of"],
     dynamic.DynamicBitVector: ["insert", "delete", "set", "clear", "rank", "select0", "select1",
                                "access", "to_bits"],
     cli: ["main", "parse_script", "parse_dump", "dump"],
@@ -72,15 +73,21 @@ def test_node_leaf_and_tree_are_frozen_slotted_values():
     leaf = dynamic.Leaf(0b101, 3)
     node = dynamic.Node(dynamic.BLACK, leaf, 3, 2, dynamic.Leaf(0b1, 2))
     tree = louds.Tree("a", [louds.Tree("b"), louds.Tree()])
-    for value, field in ((leaf, "word"), (node, "num"), (tree, "label")):
+    for value in (leaf, node, tree):
         for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(copied) is type(value)
             assert copied == value and hash(copied) == hash(value)
+        assert not hasattr(value, "__dict__")
+    # a leaf is an int: its word and length are read-only views of it
+    for field in ("word", "length", "bits"):
+        with pytest.raises(AttributeError):
+            setattr(leaf, field, 7)
+    for value, field in ((node, "num"), (tree, "label")):
         changed = dataclasses.replace(value, **{field: 7})
         assert getattr(changed, field) == 7 and changed != value
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, field, 7)
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(value, field)
-        assert not hasattr(value, "__dict__")
     assert (louds.Tree().label, louds.Tree().children) == (None, ())
     assert type(tree.children) is tuple and tree.children == (louds.Tree("b"), louds.Tree(None))
