@@ -158,20 +158,6 @@ def _halve(word: int, r: int, steps: tuple[tuple[int, int], ...]) -> int:
     return offset + _IN_BYTE[word << 3 | r - 1]
 
 
-def _word_select(word: int, i: int) -> int:
-    """1-based position of the i-th 1 below the sentinel 1 of a ``dynamic``
-    leaf, with select's conventions: 0 for i == 0, and the sentinel's,
-    length + 1, when fewer than i 1s lie below it.  The halving spans the
-    sentinel too, or a step could keep a half wider than its width."""
-    if i < 0:
-        raise ValueError("occurrence ordinal must be non-negative")
-    if i == 0:
-        return 0
-    if i >= word.bit_count():
-        return word.bit_length()
-    return _halve(word, i, _halves((word.bit_length() - 1).bit_length())) + 1
-
-
 _HALVES = _halves(6)  # the steps for one 64-bit BitVector word
 # a block's packed word: 9-bit field t, t = 0..6, holds the block's 1s before its word t + 1
 _SHIFTS = (63, 0, 9, 18, 27, 36, 45, 54)  # the field for word j; shifting by 63 gives 0 for j = 0

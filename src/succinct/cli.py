@@ -249,6 +249,18 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _louds_query_parser(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """p with the arguments of louds-query added."""
+    p.add_argument("op", choices=["children", "child", "parent"])
+    p.add_argument("bits", nargs="?", help="ASCII bit string")
+    p.add_argument("--bits-file", help="read the bit string from a file instead")
+    p.add_argument("--pos", type=int, required=True, help="bit position of the node")
+    p.add_argument("--index", type=int, help="child ordinal (for child)")
+    p.add_argument("--verify", metavar="TREE_FILE",
+                   help="cross-check against this tree, bare or under a super root")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="succinct")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -259,14 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time", action="store_true", help="print encoding time to stderr")
     p.set_defaults(func=_cmd_louds_build)
 
-    p = sub.add_parser("louds-query", help="navigate a LOUDS bit string")
-    p.add_argument("op", choices=["children", "child", "parent"])
-    p.add_argument("bits", nargs="?", help="ASCII bit string")
-    p.add_argument("--bits-file", help="read the bit string from a file instead")
-    p.add_argument("--pos", type=int, required=True, help="bit position of the node")
-    p.add_argument("--index", type=int, help="child ordinal (for child)")
-    p.add_argument("--verify", metavar="TREE_FILE",
-                   help="cross-check against this tree, bare or under a super root")
+    p = _louds_query_parser(sub.add_parser("louds-query", help="navigate a LOUDS bit string"))
     p.set_defaults(func=_cmd_louds_query)
 
     p = sub.add_parser("dbv-run", help="replay a dynamic bit vector op script")
@@ -293,6 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["louds-query"]:
+        # a subparser matches the optional bit string together with op, so a
+        # bit string after the options would be left over; only a parser
+        # without subparsers reads positionals and options intermixed
+        query = _louds_query_parser(argparse.ArgumentParser(prog="succinct louds-query"))
+        return _cmd_louds_query(query.parse_intermixed_args(argv[1:]))
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -31,7 +31,7 @@ from enum import Enum
 from functools import partial
 from typing import Iterable
 
-from .bitvec import _FROM_ASCII, _ascii_bits, _text_bits, _word_select
+from .bitvec import _FROM_ASCII, _ascii_bits, _halve, _halves, _text_bits
 
 __all__ = [
     "BLACK",
@@ -254,6 +254,20 @@ def drank(t: DTree, i: int) -> int:
     if i < t.bit_length():
         return acc + (t & (1 << i) - 1).bit_count()
     return acc + t.bit_count() - 1
+
+
+def _word_select(word: int, i: int) -> int:
+    """1-based position of the i-th 1 below the sentinel 1 of a ``dynamic``
+    leaf, with select's conventions: 0 for i == 0, and the sentinel's,
+    length + 1, when fewer than i 1s lie below it.  The halving spans the
+    sentinel too, or a step could keep a half wider than its width."""
+    if i < 0:
+        raise ValueError("occurrence ordinal must be non-negative")
+    if i == 0:
+        return 0
+    if i >= word.bit_count():
+        return word.bit_length()
+    return _halve(word, i, _halves((word.bit_length() - 1).bit_length())) + 1
 
 
 def dselect1(t: DTree, i: int) -> int:

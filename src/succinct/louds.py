@@ -9,10 +9,8 @@ one-child node.
 
 Navigation (child count, i-th child, parent) is pure rank/select
 arithmetic on the bit sequence; ``bitvec`` documents the index
-conventions the formulas rely on.  The module-level ``louds_children``,
-``louds_child`` and ``louds_parent`` are the raw total formulas over
-the free, O(n) ``rank``/``select``.  ``Louds`` keeps the bits in a
-``BitVector``, applies the same formulas with its methods and validates
+conventions the formulas rely on.  ``Louds`` keeps the bits in a
+``BitVector``, applies the formulas with its methods and validates
 positions.
 
 One queue pass writes the encoding as 0/1 bytes, which ``Louds.encode``
@@ -29,7 +27,7 @@ from itertools import accumulate, chain, islice
 from operator import indexOf
 from typing import Any, Iterable, Sequence
 
-from .bitvec import BitSeq, BitVector, pred, rank, select, succ
+from .bitvec import BitVector
 
 Path = Sequence[int]
 
@@ -40,10 +38,7 @@ __all__ = [
     "TreeParseError",
     "format_tree",
     "height",
-    "louds_child",
-    "louds_children",
     "louds_encode",
-    "louds_parent",
     "number_of_nodes",
     "parse_tree",
     "with_super_root",
@@ -138,34 +133,20 @@ def with_super_root(t: Tree) -> Tree:
     return Tree(None, (t,))
 
 
-def louds_children(bits: BitSeq, v: int) -> int:
-    """Child count at bit position v: distance to the next 0-bit."""
-    return succ(0, bits, v + 1) - (v + 1)
-
-
-def louds_child(bits: BitSeq, v: int, i: int) -> int:
-    """Bit position of the i-th child of the node at position v."""
-    return select(0, rank(1, v + i, bits) + 1, bits)
-
-
-def louds_parent(bits: BitSeq, v: int) -> int:
-    """Bit position of the parent of the (non-root) node at position v."""
-    j = select(1, rank(0, v, bits), bits)
-    return pred(0, bits, j)
-
-
 @dataclass(frozen=True)
 class Louds:
     """A LOUDS bit sequence with validity-checked navigation.
 
     Built from a ``BitVector``, trusted as given, or from any bit
     sequence, which must encode some tree or ``ValueError`` is raised;
-    the bits are kept only in the vector.  Navigation applies the raw
-    formulas above through the vector's rank/select/succ/pred: a few
-    word operations per step, plus one O(log n) bisection of the block
-    counts per select.  The raw formulas are total and answer garbage
-    for bit indices that do not start a node description; this wrapper
-    rejects those loudly instead.
+    the bits are kept only in the vector.  For the node at bit position
+    v, the child count is ``succ(0, v + 1) - (v + 1)``, the i-th child
+    is at ``select(0, rank(1, v + i) + 1)`` and the parent at
+    ``pred(0, select(1, rank(0, v)))``, each through the vector's
+    methods: a few word operations per step, plus one O(log n)
+    bisection of the block counts per select.  The formulas are total
+    and answer garbage for bit indices that do not start a node
+    description; the methods reject those loudly instead.
     """
 
     vector: BitVector

@@ -10,16 +10,7 @@ from __future__ import annotations
 from random import Random
 
 from .dynamic import DTree, DynamicBitVector, SizeBounds, dflatten, redblack_check, wf_check
-from .louds import (
-    Louds,
-    Tree,
-    height,
-    louds_child,
-    louds_children,
-    louds_encode,
-    louds_parent,
-    number_of_nodes,
-)
+from .louds import Louds, Tree, height, louds_encode, number_of_nodes
 from .oracle import (
     bfs_queue,
     delete_at,
@@ -112,30 +103,22 @@ def check_encoding(t: Tree) -> None:
 
 
 def check_navigation(t: Tree) -> None:
-    """children/child/parent must match the inductive oracle at every
-    node of the tree, both by the raw formulas on the encoding and by
-    ``Louds`` on its packed directory."""
-    bits = louds_encode(t)
+    """children/child/parent of ``Louds.encode(t)`` must match the
+    inductive oracle at every node of the tree."""
     nav = Louds.encode(t)
-    if list(nav.bits) != bits:
-        raise VerifyError("Louds.encode disagrees with louds_encode")
     positions = {p: louds_position([t], p) for p in all_paths(t)}
     for path, v in positions.items():
         k = tree_navigate(t, path)["children"]
-        _expect_nav(f"children at {path}", k, louds_children(bits, v), nav.children(v))
+        _expect_nav(f"children at {path}", k, nav.children(v))
         for i in range(k):
-            want = positions[path + (i,)]
-            _expect_nav(f"child {i} at {path}", want, louds_child(bits, v, i), nav.child(v, i))
+            _expect_nav(f"child {i} at {path}", positions[path + (i,)], nav.child(v, i))
         if path:
-            want = positions[path[:-1]]
-            _expect_nav(f"parent at {path}", want, louds_parent(bits, v), nav.parent(v))
+            _expect_nav(f"parent at {path}", positions[path[:-1]], nav.parent(v))
 
 
-def _expect_nav(what: str, want: int, raw: int, packed: int) -> None:
-    if raw != want:
-        raise VerifyError(f"{what}: got {raw}, oracle says {want}")
-    if packed != want:
-        raise VerifyError(f"{what}: Louds says {packed}, oracle says {want}")
+def _expect_nav(what: str, want: int, got: int) -> None:
+    if got != want:
+        raise VerifyError(f"{what}: Louds says {got}, oracle says {want}")
 
 
 def random_script(rng: Random, n_ops: int = 200, size: int = 0) -> list[tuple]:

@@ -122,6 +122,12 @@ class TestLoudsQuery:
         code, out, _ = run(capsys, "louds-query", "parent", LOUDS21_TEXT, "--pos", "17")
         assert (code, out.strip()) == (0, "10")
 
+    @pytest.mark.parametrize("tail", [["--", LOUDS21_TEXT], [LOUDS21_TEXT]],
+                             ids=["after-dashes", "after-options"])
+    def test_bit_string_after_the_options(self, capsys, tail):
+        code, out, err = run(capsys, "louds-query", "child", "--pos", "0", "--index", "0", *tail)
+        assert (code, out, err) == (0, "2\n", "")
+
     def test_bits_from_file(self, capsys, tmp_path):
         path = tmp_path / "bits.txt"
         path.write_text(LOUDS21_TEXT)

@@ -19,7 +19,7 @@ from succinct import (
     select,
     with_super_root,
 )
-from succinct.louds import height, louds_child, louds_children, louds_parent, number_of_nodes
+from succinct.louds import height, number_of_nodes
 from succinct.oracle import bfs_queue
 from succinct.spec import (
     children,
@@ -236,22 +236,25 @@ class TestPositions:
 
 class TestNavigation:
     def test_children_samples(self):
-        assert louds_children(LOUDS21, 17) == 1
-        assert louds_children(LOUDS21, 0) == 1
-        assert louds_children(LOUDS21, 2) == 3
+        nav = Louds(LOUDS21)
+        assert nav.children(17) == 1
+        assert nav.children(0) == 1
+        assert nav.children(2) == 3
 
     def test_child_samples(self):
-        assert louds_child(LOUDS21, 10, 1) == 17
-        assert louds_child(LOUDS21, 0, 0) == 2
+        nav = Louds(LOUDS21)
+        assert nav.child(10, 1) == 17
+        assert nav.child(0, 0) == 2
 
     def test_parent_samples(self):
-        assert louds_parent(LOUDS21, 17) == 10
-        assert louds_parent(LOUDS21, 2) == 0
+        nav = Louds(LOUDS21)
+        assert nav.parent(17) == 10
+        assert nav.parent(2) == 0
 
     @settings(max_examples=100, deadline=None)
     @given(trees)
     def test_navigation_matches_tree_on_all_nodes(self, t):
-        bits = louds_encode(t)
+        nav = Louds(louds_encode(t))
         paths = [[]]
         index = 0
         while index < len(paths):
@@ -259,21 +262,15 @@ class TestNavigation:
             index += 1
             v = louds_position([t], p)
             k = children(t, p)
-            assert louds_children(bits, v) == k
+            assert nav.children(v) == k
             for i in range(k):
-                child_pos = louds_child(bits, v, i)
+                child_pos = nav.child(v, i)
                 assert child_pos == louds_position([t], p + [i])
-                assert louds_parent(bits, child_pos) == v
+                assert nav.parent(child_pos) == v
                 paths.append(p + [i])
 
 
 class TestCheckedLayer:
-    def test_matches_raw_on_positions(self):
-        nav = Louds(LOUDS21)
-        assert nav.children(17) == 1
-        assert nav.child(10, 1) == 17
-        assert nav.parent(17) == 10
-
     def test_rejects_non_positions(self):
         nav = Louds(LOUDS21)
         assert not nav.is_position(1)
@@ -344,8 +341,7 @@ class TestCheckedLayer:
         # the path definition louds_position
         rng = random.Random(seed)
         t = random_tree(rng, exact=n)
-        bits = louds_encode(t)
-        nav = Louds(bits)
+        nav = Louds(louds_encode(t))
         queue, paths, parent = [t], [[]], [None]
         for k, node in enumerate(queue):
             for i, c in enumerate(node.children):
@@ -358,12 +354,12 @@ class TestCheckedLayer:
         first_child = 1
         for k, node in enumerate(queue):
             v, deg = pos[k], len(node.children)
-            assert nav.children(v) == louds_children(bits, v) == deg
+            assert nav.children(v) == deg
             for i in range(deg):
-                assert nav.child(v, i) == louds_child(bits, v, i) == pos[first_child + i]
+                assert nav.child(v, i) == pos[first_child + i]
             first_child += deg
             if k:
-                assert nav.parent(v) == louds_parent(bits, v) == pos[parent[k]]
+                assert nav.parent(v) == pos[parent[k]]
         for k in rng.sample(range(n), 20):
             assert louds_position([t], paths[k]) == pos[k]
 

@@ -30,7 +30,7 @@ SPEC = {
 }
 
 BENCHMARK_LOOKUPS = {
-    louds: ["rank", "select", "succ", "pred", "parse_tree"],
+    louds: ["parse_tree"],
     louds.Louds: ["encode", "children", "child", "parent", "bits"],
     dynamic: ["from_bits", "parse_dump", "Node", "Leaf", "RED"],
     dynamic.Leaf: ["word", "length", "of"],
