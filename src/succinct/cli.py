@@ -249,8 +249,11 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _louds_query_parser(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """p with the arguments of louds-query added."""
+def _louds_query_parser() -> argparse.ArgumentParser:
+    """The parser of louds-query's arguments, which main reads intermixed:
+    a subparser matches the optional bit string together with op, so a bit
+    string after the options would be left over."""
+    p = argparse.ArgumentParser(prog="succinct louds-query")
     p.add_argument("op", choices=["children", "child", "parent"])
     p.add_argument("bits", nargs="?", help="ASCII bit string")
     p.add_argument("--bits-file", help="read the bit string from a file instead")
@@ -271,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time", action="store_true", help="print encoding time to stderr")
     p.set_defaults(func=_cmd_louds_build)
 
-    p = _louds_query_parser(sub.add_parser("louds-query", help="navigate a LOUDS bit string"))
-    p.set_defaults(func=_cmd_louds_query)
+    # listed only: main parses louds-query with _louds_query_parser
+    sub.add_parser("louds-query", help="navigate a LOUDS bit string")
 
     p = sub.add_parser("dbv-run", help="replay a dynamic bit vector op script")
     p.add_argument("script", help="op script file, one op per line")
@@ -300,11 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv[:1] == ["louds-query"]:
-        # a subparser matches the optional bit string together with op, so a
-        # bit string after the options would be left over; only a parser
-        # without subparsers reads positionals and options intermixed
-        query = _louds_query_parser(argparse.ArgumentParser(prog="succinct louds-query"))
-        return _cmd_louds_query(query.parse_intermixed_args(argv[1:]))
+        return _cmd_louds_query(_louds_query_parser().parse_intermixed_args(argv[1:]))
     args = build_parser().parse_args(argv)
     return args.func(args)
 
