@@ -2,10 +2,9 @@
 
 Three layers, each validated against a naive reference oracle:
 
-- ``bitvec``: static rank/select/succ/pred over flat bit sequences,
-  plus ``BitVector``, packed words with a rank9 directory of 1- and
-  0-counts in 80 bytes per 512 bits: O(1) rank, key-free select,
-  in-word succ/pred.
+- ``bitvec``: ``BitVector``, static rank/select/succ/pred over packed
+  words with a rank9 directory of 1- and 0-counts in 80 bytes per 512
+  bits: O(1) rank, key-free select, in-word succ/pred.
 - ``louds``: pointerless level-order tree encoding with rank/select
   navigation (child count, i-th child, parent) on a ``BitVector``.
 - ``dynamic``: dynamic bit vectors as red-black trees over packed
@@ -19,14 +18,14 @@ from ``spec``, the reference implementations from ``oracle`` and the
 randomized cross-checks from ``verify``.
 """
 
-from .bitvec import BitVector, format_bits, parse_bits, pred, rank, select, succ
+from .bitvec import BitVector, format_bits, parse_bits
 from .dynamic import DynamicBitVector, SizeBounds, dump, from_bits, parse_dump
 from .louds import (
     Louds, Tree, TreeParseError, format_tree, louds_encode, parse_tree, with_super_root
 )
 
 __all__ = [
-    "BitVector", "rank", "select", "succ", "pred", "parse_bits", "format_bits",
+    "BitVector", "parse_bits", "format_bits",
     "Tree", "Louds", "TreeParseError", "parse_tree", "format_tree", "louds_encode",
     "with_super_root",
     "DynamicBitVector", "SizeBounds", "from_bits", "dump", "parse_dump",

@@ -1,29 +1,29 @@
-"""Static bit-sequence primitives: rank, select, succ and pred.
+"""Static bit sequences with rank, select, succ and pred.
 
 A bit sequence is a Python sequence of 0/1 ints, index 0 first;
 ``parse_bits``/``format_bits`` convert to the ASCII '0'/'1' form used by
 the CLI and by test fixtures.
 
-The index conventions are load-bearing (the navigation formulas in
-``louds`` depend on them exactly):
+``BitVector`` answers the four queries.  Its index conventions are
+load-bearing (the navigation formulas in ``louds`` depend on them
+exactly):
 
-- ``rank(b, i, s)`` takes a 0-based prefix length ``i`` and counts the
+- ``rank(b, i)`` takes a 0-based prefix length ``i`` and counts the
   occurrences of ``b`` among the first ``i`` bits; ``i`` past the end
-  of the sequence saturates to ``len(s)``.
-- ``select(b, i, s)`` returns the position of the ``i``-th occurrence
-  of ``b`` counting positions from 1, so ``select(b, i, s) - 1`` is the
+  saturates to ``len``.
+- ``select(b, i)`` returns the position of the ``i``-th occurrence of
+  ``b`` counting positions from 1, so ``select(b, i) - 1`` is the
   0-based index of that occurrence.  Selecting the 0th occurrence gives
   0, and when fewer than ``i`` occurrences exist the result is
-  ``len(s) + 1``.
-- ``succ``/``pred`` take a 1-based index and return the 1-based
-  position of the next/previous occurrence; both are compositions of
-  rank and select.
+  ``len + 1``.
+- ``succ``/``pred`` take a 1-based index ``y`` and return the 1-based
+  position of the next/previous occurrence,
+  ``select(b, rank(b, y - 1) + 1)`` and ``select(b, rank(b, y))``.
 
-The free functions are the specification and scan the sequence, so
-each costs O(n).  ``BitVector`` answers all four with the same conventions
-from packed 64-bit words and rank9's directory of 1- and 0-counts, 10
-bytes per 64 bits: O(1) rank, key-free select, succ and pred mostly in
-one word.
+``oracle`` holds the definitions as linear scans, which the tests
+compare ``BitVector`` against.  ``BitVector`` packs the bits into 64-bit
+words with rank9's directory of 1- and 0-counts, 10 bytes per 64 bits:
+O(1) rank, key-free select, succ and pred mostly in one word.
 """
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ __all__ = [
     "BitVector",
     "format_bits",
     "parse_bits",
-    "pred",
-    "rank",
-    "select",
-    "succ",
 ]
 
 _TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
@@ -74,42 +70,6 @@ def parse_bits(text: str) -> list[int]:
 
 def format_bits(bits: BitSeq) -> str:
     return _ascii_bits(bits).decode()
-
-
-def rank(b: Bit, i: int, s: BitSeq) -> int:
-    """Number of positions j < i with s[j] == b."""
-    if i < 0:
-        raise ValueError("prefix length must be non-negative")
-    return s[:i].count(b)
-
-
-def select(b: Bit, i: int, s: BitSeq) -> int:
-    """1-based position of the i-th occurrence of b (see module docs)."""
-    if i < 0:
-        raise ValueError("occurrence ordinal must be non-negative")
-    if i == 0:
-        return 0
-    remaining = i
-    for pos, x in enumerate(s):
-        if x == b:
-            remaining -= 1
-            if remaining == 0:
-                return pos + 1
-    return len(s) + 1
-
-
-def succ(b: Bit, s: BitSeq, y: int) -> int:
-    """1-based position of the first b at or after 1-based index y."""
-    if y < 1:
-        raise ValueError("succ indexes from 1")
-    return select(b, rank(b, y - 1, s) + 1, s)
-
-
-def pred(b: Bit, s: BitSeq, y: int) -> int:
-    """1-based position of the last b at or before 1-based index y; 0 if none."""
-    if y < 1:
-        raise ValueError("pred indexes from 1")
-    return select(b, rank(b, y, s), s)
 
 
 def _ascii_bits(bits: BitSeq) -> bytes:
@@ -180,9 +140,9 @@ class BitVector:
     block counts of one half, a three-step binary search of the packed
     fields for the word, then halves into it; ``succ`` and ``pred`` look
     in the word holding their index first.  For ``b`` in (0, 1), bools
-    included, all answer exactly like the free functions; any other ``b``
-    raises ``ValueError``.  Words and directory take 80 bytes per block,
-    plus 16 for the counts past the end.
+    included, all answer as the module docstring defines; any other
+    ``b`` raises ``ValueError``.  Words and directory take 80 bytes per
+    block, plus 16 for the counts past the end.
     """
 
     __slots__ = ("_len", "_words", "_dir", "_packed")
@@ -230,6 +190,10 @@ class BitVector:
 
     def __repr__(self):
         return f"BitVector(parse_bits({format_bits(self)!r}))"
+
+    def __reduce__(self):
+        # copy and pickle rebuild from the bits: memoryviews do not pickle
+        return BitVector, (bytes(self),)
 
     def rank(self, b: Bit, i: int) -> int:
         """Number of positions j < i holding b; i saturates at len."""

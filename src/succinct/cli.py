@@ -25,8 +25,7 @@ from .dynamic import (
     wf_check,
 )
 from .louds import Louds, Tree, _louds_bytes, parse_tree, with_super_root
-from .oracle import tree_navigate
-from .spec import louds_position
+from .spec import children, louds_position
 from .verify import (
     OPS,
     ScriptRunner,
@@ -174,7 +173,7 @@ def _verify_query(args, tree: Tree, bits: bytes, result: int) -> str | None:
         path.append(i)
     path.reverse()
     if args.op == "children":
-        want = tree_navigate(tree, path)["children"]
+        want = children(tree, path)
     elif args.op == "child":
         want = louds_position([tree], path + [args.index])
     else:

@@ -9,16 +9,16 @@ non-goal.
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
 
 __all__ = [
     "bfs_queue",
     "delete_at",
     "insert1",
     "oracle_count",
+    "oracle_pred",
     "oracle_rank",
     "oracle_select",
-    "tree_navigate",
+    "oracle_succ",
     "update_at",
 ]
 
@@ -54,6 +54,28 @@ def oracle_select(b, i: int, s) -> int:
     return len(s) + 1
 
 
+def oracle_succ(b, y: int, s) -> int:
+    """1-based position of the first b at or after 1-based index y;
+    len(s) + 1 when there is none."""
+    if y < 1:
+        raise ValueError("succ indexes from 1")
+    for j in range(y - 1, len(s)):
+        if s[j] == b:
+            return j + 1
+    return len(s) + 1
+
+
+def oracle_pred(b, y: int, s) -> int:
+    """1-based position of the last b at or before 1-based index y; 0
+    when there is none."""
+    if y < 1:
+        raise ValueError("pred indexes from 1")
+    for j in range(min(y, len(s)) - 1, -1, -1):
+        if s[j] == b:
+            return j + 1
+    return 0
+
+
 def insert1(s: list, b, i: int) -> list:
     if not 0 <= i <= len(s):
         raise IndexError(f"insert position {i} out of range")
@@ -81,19 +103,3 @@ def bfs_queue(t) -> list:
         out.append(node.label)
         queue.extend(node.children)
     return out
-
-
-def tree_navigate(t, p: Sequence[int]) -> dict:
-    """Ground-truth navigation at path p: child count, parent path and
-    the paths of all children.  Raises on an invalid path."""
-    node = t
-    for depth, step in enumerate(p):
-        if not 0 <= step < len(node.children):
-            raise ValueError(f"invalid path step {step} at depth {depth}")
-        node = node.children[step]
-    k = len(node.children)
-    return {
-        "children": k,
-        "parent": list(p[:-1]) if p else None,
-        "children_paths": [list(p) + [i] for i in range(k)],
-    }

@@ -17,10 +17,16 @@ from .oracle import (
     insert1,
     oracle_rank,
     oracle_select,
-    tree_navigate,
     update_at,
 )
-from .spec import lo_traversal, lo_traversal_lt, lo_traversal_st, louds_position, node_description
+from .spec import (
+    children,
+    lo_traversal,
+    lo_traversal_lt,
+    lo_traversal_st,
+    louds_position,
+    node_description,
+)
 
 __all__ = [
     "OPS",
@@ -108,7 +114,7 @@ def check_navigation(t: Tree) -> None:
     nav = Louds.encode(t)
     positions = {p: louds_position([t], p) for p in all_paths(t)}
     for path, v in positions.items():
-        k = tree_navigate(t, path)["children"]
+        k = children(t, path)
         _expect_nav(f"children at {path}", k, nav.children(v))
         for i in range(k):
             _expect_nav(f"child {i} at {path}", positions[path + (i,)], nav.child(v, i))

@@ -16,7 +16,7 @@ from samples import (
     del_borrow_sample,
     del_merge_sample,
 )
-from succinct import SizeBounds, dump, louds_encode, rank, select, with_super_root
+from succinct import BitVector, SizeBounds, dump, louds_encode, with_super_root
 from succinct.dynamic import Node as DNode
 from succinct.dynamic import ddelete, redblack_check
 from succinct.louds import height, number_of_nodes
@@ -44,13 +44,14 @@ def criterion(number, description):
 @criterion(1, "58-bit fixture rank/select values, under 1 ms")
 def test_criterion_1_static_fixture():
     start = time.perf_counter()
+    index = BitVector(BITS58)
     queries = (
-        rank(1, 4, BITS58),
-        select(1, 2, BITS58),
-        rank(1, 36, BITS58),
-        select(1, 17, BITS58),
-        rank(1, 58, BITS58),
-        select(1, 26, BITS58),
+        index.rank(1, 4),
+        index.select(1, 2),
+        index.rank(1, 36),
+        index.select(1, 17),
+        index.rank(1, 58),
+        index.select(1, 26),
     )
     elapsed = time.perf_counter() - start
     assert queries == (2, 4, 17, 36, 26, 57)

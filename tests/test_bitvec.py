@@ -1,20 +1,15 @@
+import copy
 import operator
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from samples import BITS58, LOUDS21
-from succinct import (
-    BitVector,
-    format_bits,
-    parse_bits,
-    pred,
-    rank,
-    select,
-    succ,
-)
-from succinct.oracle import oracle_count, oracle_rank, oracle_select
+from succinct import BitVector, Louds, format_bits, parse_bits
+from succinct.oracle import oracle_count, oracle_pred, oracle_rank, oracle_select, oracle_succ
+from succinct.verify import random_tree
 
 bit = st.sampled_from([0, 1])
 bit_lists = st.lists(bit, max_size=120)
@@ -46,106 +41,114 @@ def one_per_block_lists(draw):
 
 class TestRank:
     def test_sample_values(self):
-        assert rank(1, 4, BITS58) == 2
-        assert rank(1, 36, BITS58) == 17
-        assert rank(1, 58, BITS58) == 26
+        index = BitVector(BITS58)
+        assert index.rank(1, 4) == 2
+        assert index.rank(1, 36) == 17
+        assert index.rank(1, 58) == 26
 
     @given(bit, bit_lists)
     def test_empty_prefix(self, b, s):
-        assert rank(b, 0, s) == 0
+        assert BitVector(s).rank(b, 0) == 0
 
     @given(bit, bit_lists)
     def test_saturates_past_end(self, b, s):
-        assert rank(b, len(s) + 5, s) == rank(b, len(s), s)
+        index = BitVector(s)
+        assert index.rank(b, len(s) + 5) == index.rank(b, len(s))
 
     @given(bit, st.integers(0, 130), bit_lists)
     def test_matches_oracle(self, b, i, s):
-        assert rank(b, i, s) == oracle_rank(b, i, s)
+        assert BitVector(s).rank(b, i) == oracle_rank(b, i, s)
 
     @given(bit, bit_lists)
     def test_monotone_with_unit_steps(self, b, s):
+        index = BitVector(s)
         previous = 0
         for i in range(1, len(s) + 1):
-            current = rank(b, i, s)
+            current = index.rank(b, i)
             assert current - previous in (0, 1)
             previous = current
 
     def test_rejects_negative_prefix(self):
         with pytest.raises(ValueError):
-            rank(1, -1, [1, 0])
+            BitVector([1, 0]).rank(1, -1)
 
 
 class TestSelect:
     def test_sample_values(self):
-        assert select(1, 2, BITS58) == 4
-        assert select(1, 17, BITS58) == 36
-        assert select(1, 26, BITS58) == 57
+        index = BitVector(BITS58)
+        assert index.select(1, 2) == 4
+        assert index.select(1, 17) == 36
+        assert index.select(1, 26) == 57
 
     def test_missing_occurrence_returns_length_plus_one(self):
         # BITS58 holds 26 ones in total
-        assert select(1, 27, BITS58) == 59
+        assert BitVector(BITS58).select(1, 27) == 59
 
     @given(bit, bit_lists)
     def test_zeroth_is_zero(self, b, s):
-        assert select(b, 0, s) == 0
+        assert BitVector(s).select(b, 0) == 0
 
     @given(bit, st.integers(0, 130), bit_lists)
     def test_matches_oracle(self, b, i, s):
-        assert select(b, i, s) == oracle_select(b, i, s)
+        assert BitVector(s).select(b, i) == oracle_select(b, i, s)
 
     @given(bit, st.integers(0, 40), st.lists(bit, max_size=32))
     def test_is_minimum_prefix_length_with_matching_rank(self, b, i, s):
         n = len(s)
-        matches = [k for k in range(n + 1) if rank(b, k, s) == i]
+        matches = [k for k in range(n + 1) if oracle_rank(b, k, s) == i]
         expected = min(matches) if matches else n + 1
-        assert select(b, i, s) == expected
+        assert BitVector(s).select(b, i) == expected
 
     @given(bit, bit_lists)
     def test_strictly_increasing_up_to_count(self, b, s):
+        index = BitVector(s)
         total = oracle_count(b, s)
-        values = [select(b, i, s) for i in range(total + 1)]
+        values = [index.select(b, i) for i in range(total + 1)]
         assert all(x < y for x, y in zip(values, values[1:]))
 
     @given(bit, st.integers(1, 130), bit_lists)
     def test_rank_cancels_select(self, b, i, s):
         # rank of the selected prefix gives back the ordinal
+        index = BitVector(s)
         if i <= oracle_count(b, s):
-            assert rank(b, select(b, i, s), s) == i
+            assert index.rank(b, index.select(b, i)) == i
 
     def test_rejects_negative_ordinal(self):
         with pytest.raises(ValueError):
-            select(1, -2, [1])
+            BitVector([1]).select(1, -2)
 
 
 class TestSuccPred:
     def test_succ_sample_values(self):
-        assert succ(0, LOUDS21, 18) == 19
-        assert succ(0, LOUDS21, 3) == 6
+        index = BitVector(LOUDS21)
+        assert index.succ(0, 18) == 19
+        assert index.succ(0, 3) == 6
 
     @given(bit, bit_lists)
     def test_succ_from_one_is_first_occurrence(self, b, s):
-        assert succ(b, s, 1) == select(b, 1, s)
+        assert BitVector(s).succ(b, 1) == oracle_select(b, 1, s)
 
     @given(bit, bit_lists, st.integers(1, 130))
     def test_succ_window_has_no_occurrence(self, b, s, y):
-        position = succ(b, s, y)
+        position = BitVector(s).succ(b, y)
         for j in range(y - 1, min(position - 1, len(s))):
             assert s[j] != b
         if position <= len(s):
             assert s[position - 1] == b
 
     def test_pred_sample_values(self):
-        assert pred(0, LOUDS21, 1) == 0
-        assert pred(0, LOUDS21, 5) == 2
+        index = BitVector(LOUDS21)
+        assert index.pred(0, 1) == 0
+        assert index.pred(0, 5) == 2
 
     @given(bit, bit_lists, st.integers(1, 130))
     def test_pred_at_occurrence_is_identity(self, b, s, y):
         if y <= len(s) and s[y - 1] == b:
-            assert pred(b, s, y) == y
+            assert BitVector(s).pred(b, y) == y
 
     @given(bit, bit_lists, st.integers(1, 130))
     def test_pred_window_has_no_occurrence(self, b, s, y):
-        position = pred(b, s, y)
+        position = BitVector(s).pred(b, y)
         if position:
             assert s[position - 1] == b
         for j in range(position, min(y, len(s))):
@@ -153,13 +156,13 @@ class TestSuccPred:
 
     def test_both_index_from_one(self):
         with pytest.raises(ValueError):
-            succ(0, [0], 0)
+            BitVector([0]).succ(0, 0)
         with pytest.raises(ValueError):
-            pred(0, [0], 0)
+            BitVector([0]).pred(0, 0)
 
 
 class TestRankIndex:
-    """Rank through BitVector's directory agrees with the free rank."""
+    """Rank through BitVector's directory agrees with the oracle's scan."""
 
     def test_sample_query(self):
         assert BitVector(BITS58).rank(1, 36) == 17
@@ -173,14 +176,14 @@ class TestRankIndex:
         index = BitVector(BITS58)
         for b in (0, 1):
             for i in range(60):
-                assert index.rank(b, i) == rank(b, i, BITS58)
+                assert index.rank(b, i) == oracle_rank(b, i, BITS58)
 
     @given(bit_lists)
     def test_matches_naive_rank_everywhere(self, s):
         index = BitVector(s)
         for b in (0, 1):
             for i in range(len(s) + 2):
-                assert index.rank(b, i) == rank(b, i, s)
+                assert index.rank(b, i) == oracle_rank(b, i, s)
 
     def test_exhaustive_up_to_1024_bits(self):
         rng = random.Random(1024)
@@ -188,7 +191,7 @@ class TestRankIndex:
         index = BitVector(s)
         for b in (0, 1):
             for i in range(len(s) + 1):
-                assert index.rank(b, i) == rank(b, i, s)
+                assert index.rank(b, i) == oracle_rank(b, i, s)
 
     def test_randomized_large_source(self):
         rng = random.Random(2024)
@@ -197,7 +200,7 @@ class TestRankIndex:
         for _ in range(500):
             i = rng.randint(0, 5000)
             b = rng.randint(0, 1)
-            assert index.rank(b, i) == rank(b, i, s)
+            assert index.rank(b, i) == oracle_rank(b, i, s)
 
     def test_rejects_negative_prefix(self):
         with pytest.raises(ValueError):
@@ -208,7 +211,7 @@ class TestRankIndex:
         # the directory's per-word counts, read back at each word boundary
         index = BitVector(s)
         for k in range(0, len(s) + 1, 64):
-            assert index.rank(1, k) == rank(1, k, s)
+            assert index.rank(1, k) == oracle_rank(1, k, s)
 
 
 class TestBitVector:
@@ -222,8 +225,8 @@ class TestBitVector:
                 assert index.rank(b, i) == oracle_rank(b, i, s), (b, i)
                 assert index.select(b, i) == oracle_select(b, i, s), (b, i)
             for y in range(1, len(s) + 4):
-                assert index.succ(b, y) == succ(b, s, y), (b, y)
-                assert index.pred(b, y) == pred(b, s, y), (b, y)
+                assert index.succ(b, y) == oracle_succ(b, y, s), (b, y)
+                assert index.pred(b, y) == oracle_pred(b, y, s), (b, y)
         return index
 
     @given(edge_lists)
@@ -265,6 +268,18 @@ class TestBitVector:
         assert BitVector([1, 0, 1]) != BitVector([1, 0, 1, 0])
         assert BitVector([0] * 64) != BitVector([0] * 63)
 
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 512, 513, 10**5, "Louds"])
+    def test_copy_and_pickle_keep_content(self, n):
+        # the words and directory are memoryviews, which pickle cannot take
+        rng = random.Random(n)
+        if n == "Louds":
+            value = Louds.encode(random_tree(rng, exact=3000))
+        else:
+            value = BitVector([rng.randint(0, 1) for _ in range(n)])
+        for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(copied) is type(value)
+            assert copied == value and hash(copied) == hash(value)
+
     def test_is_immutable(self):
         index = BitVector([1, 0])
         with pytest.raises(AttributeError):
@@ -294,7 +309,7 @@ class TestBitVector:
     )
     def test_rejects_a_bit_other_than_0_or_1(self, method, arg):
         # a packed answer for b == 2 would be the one for b == 0, where
-        # the free function counts no occurrence at all
+        # the definition counts no occurrence at all
         query = getattr(BitVector([0, 1, 1, 0]), method)
         for b in (2, -1):
             with pytest.raises(ValueError, match="b must be 0 or 1"):
@@ -346,8 +361,8 @@ def assert_matches_oracle_at(s, indices):
             assert index.select(b, i) == oracle_select(b, i, s), (b, i)
         for y in indices:
             if y:
-                assert index.succ(b, y) == succ(b, s, y), (b, y)
-                assert index.pred(b, y) == pred(b, s, y), (b, y)
+                assert index.succ(b, y) == oracle_succ(b, y, s), (b, y)
+                assert index.pred(b, y) == oracle_pred(b, y, s), (b, y)
 
 
 class TestBlockEdges:

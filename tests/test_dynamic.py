@@ -18,7 +18,6 @@ from succinct import (
     from_bits,
     parse_bits,
     parse_dump,
-    select,
 )
 from succinct.dynamic import (
     BLACK,
@@ -78,7 +77,7 @@ class TestFlattenAndQueries:
 
     def test_dselect_samples(self):
         t = dbv_sample()
-        assert dselect1(t, 3) == select(1, 3, DBV40_FLAT) == 14
+        assert dselect1(t, 3) == oracle_select(1, 3, DBV40_FLAT) == 14
         assert dselect0(t, 0) == 0
         assert dsize(t) == 40
 

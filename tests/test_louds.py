@@ -16,11 +16,10 @@ from succinct import (
     format_tree,
     louds_encode,
     parse_tree,
-    select,
     with_super_root,
 )
 from succinct.louds import height, number_of_nodes
-from succinct.oracle import bfs_queue
+from succinct.oracle import bfs_queue, oracle_select
 from succinct.spec import (
     children,
     children_of_forest,
@@ -231,7 +230,7 @@ class TestPositions:
         p = random_path(rng, t)
         padded = p + [0] * height(t)
         encoded = louds_lt([t], padded)
-        assert louds_position([t], p) == select(0, lo_index([t], p), encoded)
+        assert louds_position([t], p) == oracle_select(0, lo_index([t], p), encoded)
 
 
 class TestNavigation:

@@ -1,15 +1,16 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from samples import BITS58, TREE10
+from samples import BITS58, LOUDS21, TREE10
 from succinct import Tree
 from succinct.oracle import (
     bfs_queue,
     delete_at,
     insert1,
+    oracle_pred,
     oracle_rank,
     oracle_select,
-    tree_navigate,
+    oracle_succ,
     update_at,
 )
 
@@ -26,6 +27,16 @@ def test_rank_sample_values():
 def test_select_zeroth_is_zero():
     assert oracle_select(0, 0, BITS58) == 0
     assert oracle_select(1, 0, []) == 0
+
+
+def test_succ_pred_sample_values():
+    assert oracle_succ(0, 18, LOUDS21) == 19
+    assert oracle_succ(1, 20, LOUDS21) == 22
+    assert oracle_pred(0, 5, LOUDS21) == 2
+    assert oracle_pred(0, 1, LOUDS21) == 0
+    for query in (oracle_succ, oracle_pred):
+        with pytest.raises(ValueError):
+            query(0, 0, [0])
 
 
 def test_sequence_surgery_basics():
@@ -56,17 +67,3 @@ def test_bfs_queue_sample():
 def test_bfs_queue_single_leaf():
     assert bfs_queue(Tree("x")) == ["x"]
 
-
-def test_tree_navigate():
-    nav = tree_navigate(TREE10, [2, 1])
-    assert nav["children"] == 1
-    assert nav["parent"] == [2]
-    assert nav["children_paths"] == [[2, 1, 0]]
-    root = tree_navigate(TREE10, [])
-    assert root["children"] == 3
-    assert root["parent"] is None
-
-
-def test_tree_navigate_rejects_invalid_path():
-    with pytest.raises(ValueError):
-        tree_navigate(TREE10, [3])

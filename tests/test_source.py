@@ -1,5 +1,6 @@
 """Static checks on the library's source: every name a module imports is
-used in it, so an import left behind by a deletion fails here."""
+used in it, and every private module-level name is read somewhere in the
+package, so an import or helper left behind by a deletion fails here."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,49 @@ def test_every_imported_name_is_used(path):
 def test_an_unused_import_is_found():
     source = "import os\nfrom re import compile, escape as esc\n__all__ = ['compile']\n"
     assert unused_imports(source) == ["line 1: os", "line 2: esc"]
+
+
+def defined_names(node: ast.stmt) -> list[str]:
+    """The module-level names a top-level statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private module-level names (``_name``, not dunder) of the
+    package's modules, keyed by module name, that no module reads outside
+    the statement defining them.  ``from .module import _name`` counts as
+    a read."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = defined_names(stmt)
+            for name in own:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[module, name] = stmt.lineno
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and node.id not in own:
+                    read.add((module, node.id))
+                elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                    read |= {(node.module, alias.name) for alias in node.names}
+    return [f"{module} line {line}: {name}"
+            for (module, name), line in defined.items() if (module, name) not in read]
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names({path.stem: path.read_text(encoding="utf-8")
+                                 for path in MODULES}) == []
+
+
+def test_an_unread_private_name_is_found():
+    sources = {
+        "a": "def _used(): pass\ndef _own(n): return _own(n)\n_X, _Y = 1, 2\n"
+             "class _Dead: pass\n__version__ = '1'\n",
+        "b": "from .a import _used, _X\n_used()\n",
+    }
+    assert unread_private_names(sources) == ["a line 2: _own", "a line 3: _Y", "a line 4: _Dead"]

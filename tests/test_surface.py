@@ -17,7 +17,7 @@ import succinct
 from succinct import cli, dynamic, louds, spec, verify
 
 PUBLIC = {
-    "BitVector", "rank", "select", "succ", "pred", "parse_bits", "format_bits",
+    "BitVector", "parse_bits", "format_bits",
     "Tree", "Louds", "TreeParseError", "parse_tree", "format_tree", "louds_encode",
     "with_super_root",
     "DynamicBitVector", "SizeBounds", "from_bits", "dump", "parse_dump",
