@@ -183,11 +183,14 @@ class TestPositions:
         assert subtree(TREE10, [2, 1]).label == 8
         assert children(TREE10, [2, 1]) == 1
         assert children(TREE10, [0]) == 2
+        assert children(TREE10, []) == 3
         assert children(Tree("x"), []) == 0
 
     def test_subtree_rejects_invalid_path(self):
         with pytest.raises(ValueError):
             subtree(TREE10, [0, 5])
+        with pytest.raises(ValueError):
+            children(TREE10, [3])
 
     def test_lt_nil_cases(self):
         assert lo_traversal_lt(lambda n: n.label, [TREE10], []) == []
