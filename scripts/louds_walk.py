@@ -1,18 +1,17 @@
 #!/usr/bin/env python3
 """Encode a tree file and walk every node through the LOUDS navigation.
 
-Prints a table of node positions, child counts and parents, each entry
-cross-checked against the inductive tree, then a line of summary stats.
-Useful for eyeballing how the bit offsets line up with the tree.
+Prints a table of the nodes in level order with their positions, child
+counts and parents, each entry cross-checked against the tree's
+level-order table, then a line of summary stats.  Useful for eyeballing
+how the bit offsets line up with the tree.
 """
 
 import argparse
 import sys
 
 from succinct import Louds, format_bits, parse_tree, with_super_root
-from succinct.louds import number_of_nodes
-from succinct.spec import louds_position, subtree
-from succinct.verify import all_paths
+from succinct.verify import level_order
 
 
 def main() -> int:
@@ -28,26 +27,22 @@ def main() -> int:
 
     nav = Louds.encode(tree)
     print(f"encoding ({len(nav)} bits): {format_bits(nav.bits)}")
-    print(f"{'path':>16}  {'pos':>4}  {'kids':>4}  {'parent':>6}  label")
+    print(f"{'node':>6}  {'pos':>4}  {'kids':>4}  {'parent':>6}  label")
 
-    positions = {p: louds_position([tree], p) for p in all_paths(tree)}
-    mismatches = 0
-    for path, pos in sorted(positions.items(), key=lambda kv: kv[1]):
-        node = subtree(tree, path)
+    nodes, positions, parents = level_order(tree)
+    mismatches, first = 0, 1
+    for k, (node, pos) in enumerate(zip(nodes, positions)):
         kids = nav.children(pos)
-        parent = nav.parent(pos) if path else None
-        if kids != len(node.children):
-            mismatches += 1
-        if path and parent != positions[path[:-1]]:
-            mismatches += 1
-        for i in range(kids):
-            if nav.child(pos, i) != positions[path + (i,)]:
-                mismatches += 1
-        shown = ",".join(map(str, path)) or "(root)"
+        parent = nav.parent(pos) if k else None
+        mismatches += kids != len(node.children)
+        mismatches += k > 0 and parent != positions[parents[k]]
+        for i in range(min(kids, len(node.children))):
+            mismatches += nav.child(pos, i) != positions[first + i]
+        first += len(node.children)
         parent_str = "-" if parent is None else str(parent)
-        print(f"{shown:>16}  {pos:>4}  {kids:>4}  {parent_str:>6}  {node.label}")
+        print(f"{k:>6}  {pos:>4}  {kids:>4}  {parent_str:>6}  {node.label}")
 
-    n = number_of_nodes(tree)
+    n = len(nodes)
     print(f"{n} nodes, {2 * n - 1} bits, mismatches: {mismatches}")
     return 1 if mismatches else 0
 

@@ -2,7 +2,8 @@
 
 Subcommands: louds-build, louds-query, dbv-run, verify.  dbv-run reads
 the ops of ``verify.OPS``; ``louds-query --verify`` works out from the
-bits whether its tree sits under a super root and which node --pos is.
+bits whether its tree sits under a super root, then reads the answer
+off that tree's ``verify.level_order`` table at the node of --pos.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error.
 """
@@ -25,7 +26,6 @@ from .dynamic import (
     wf_check,
 )
 from .louds import Louds, Tree, _louds_bytes, parse_tree, with_super_root
-from .spec import children, louds_position
 from .verify import (
     OPS,
     ScriptRunner,
@@ -33,6 +33,7 @@ from .verify import (
     check_encoding,
     check_navigation,
     check_traversals,
+    level_order,
     random_script,
     random_tree,
 )
@@ -133,13 +134,14 @@ def _load_bits(args) -> list[int]:
 
 
 def _cmd_louds_query(args) -> int:
+    if (args.op == "child") != (args.index is not None):
+        return _fail("child requires --index" if args.index is None
+                     else "--index only applies to child", 2)
     try:
         nav = Louds(bits := _load_bits(args))
         if args.op == "children":
             result = nav.children(args.pos)
         elif args.op == "child":
-            if args.index is None:
-                return _fail("child requires --index", 2)
             result = nav.child(args.pos, args.index)
         else:
             result = nav.parent(args.pos)
@@ -154,30 +156,20 @@ def _cmd_louds_query(args) -> int:
 
 def _verify_query(args, tree: Tree, bits: bytes, result: int) -> str | None:
     """What is wrong with result, or None.  bits must encode tree, bare or
-    under a super root; the query is then re-derived on that tree at the
-    path of --pos, which one level-order walk finds."""
+    under a super root; the answer is then read off that tree's
+    ``level_order`` table at the node of --pos."""
     # the two encodings differ in length by 2, so at most one matches
     tree = next((t for t in (tree, with_super_root(tree)) if _louds_bytes(t) == bits), None)
     if tree is None:
         return f"the bits are not the encoding of {args.verify}, bare or under a super root"
-    # each node with its path as nested (child ordinal, parent's path) pairs
-    queue, start = [(tree, ())], 0
-    for node, link in queue:  # the loop walks the queue while it grows
-        if start == args.pos:  # a node position of bits, so the walk gets here
-            break
-        start += len(node.children) + 1
-        queue += ((child, (i, link)) for i, child in enumerate(node.children))
-    path = []
-    while link:
-        i, link = link
-        path.append(i)
-    path.reverse()
+    nodes, positions, parents = level_order(tree)
+    k = positions.index(args.pos)  # a node position of bits, so it is there
     if args.op == "children":
-        want = children(tree, path)
+        want = len(nodes[k].children)
     elif args.op == "child":
-        want = louds_position([tree], path + [args.index])
+        want = positions[parents.index(k) + args.index]
     else:
-        want = louds_position([tree], path[:-1])
+        want = positions[parents[k]]
     if result != want:
         return f"{args.op} mismatch: encoding says {result}, oracle says {want}"
 

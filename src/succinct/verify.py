@@ -2,7 +2,9 @@
 
 Shared by the test suite, the CLI verify modes and scripts/.  All
 generators take an explicit ``random.Random`` so runs are reproducible
-from a seed.
+from a seed.  ``level_order`` is the one reference table for LOUDS
+navigation: each node's bit position and parent, from one level-order
+walk; ``check_navigation`` compares ``Louds`` with it at every node.
 """
 
 from __future__ import annotations
@@ -11,22 +13,8 @@ from random import Random
 
 from .dynamic import DTree, DynamicBitVector, SizeBounds, dflatten, redblack_check, wf_check
 from .louds import Louds, Tree, height, louds_encode, number_of_nodes
-from .oracle import (
-    bfs_queue,
-    delete_at,
-    insert1,
-    oracle_rank,
-    oracle_select,
-    update_at,
-)
-from .spec import (
-    children,
-    lo_traversal,
-    lo_traversal_lt,
-    lo_traversal_st,
-    louds_position,
-    node_description,
-)
+from .oracle import bfs_queue, delete_at, insert1, oracle_rank, oracle_select, update_at
+from .spec import lo_traversal, lo_traversal_lt, lo_traversal_st, node_description
 
 __all__ = [
     "OPS",
@@ -35,6 +23,7 @@ __all__ = [
     "check_encoding",
     "check_navigation",
     "check_traversals",
+    "level_order",
     "random_path",
     "random_script",
     "random_tree",
@@ -69,18 +58,6 @@ def random_path(rng: Random, t: Tree) -> list[int]:
     return path
 
 
-def all_paths(t: Tree) -> list[tuple[int, ...]]:
-    """Paths of every node, in depth-first order starting with the root."""
-    out: list[tuple[int, ...]] = []
-    stack: list[tuple[Tree, tuple[int, ...]]] = [(t, ())]
-    while stack:
-        node, path = stack.pop()
-        out.append(path)
-        for i in range(len(node.children) - 1, -1, -1):
-            stack.append((node.children[i], path + (i,)))
-    return out
-
-
 def check_traversals(t: Tree) -> None:
     """Level-order traversals must agree with each other and with the
     queue oracle; the path-bounded traversal must converge."""
@@ -108,18 +85,34 @@ def check_encoding(t: Tree) -> None:
         raise VerifyError("encoding bit counts do not match the node count")
 
 
+def level_order(t: Tree) -> tuple[list[Tree], list[int], list[int]]:
+    """The nodes of t in ``spec.lo_traversal`` order, each node's bit
+    position in the encoding (the summed ``node_description`` lengths of
+    the nodes before it) and each node's parent index, -1 for the root.
+    A node's children follow the children of every earlier node."""
+    nodes = lo_traversal(lambda node: node, t)
+    positions, parents, start = [], [-1], 0
+    for k, node in enumerate(nodes):
+        positions.append(start)
+        start += len(node_description(node.children))
+        parents += [k] * len(node.children)
+    return nodes, positions, parents
+
+
 def check_navigation(t: Tree) -> None:
-    """children/child/parent of ``Louds.encode(t)`` must match the
-    inductive oracle at every node of the tree."""
+    """children/child/parent of ``Louds.encode(t)`` must match
+    ``level_order(t)`` at every node of the tree."""
     nav = Louds.encode(t)
-    positions = {p: louds_position([t], p) for p in all_paths(t)}
-    for path, v in positions.items():
-        k = children(t, path)
-        _expect_nav(f"children at {path}", k, nav.children(v))
-        for i in range(k):
-            _expect_nav(f"child {i} at {path}", positions[path + (i,)], nav.child(v, i))
-        if path:
-            _expect_nav(f"parent at {path}", positions[path[:-1]], nav.parent(v))
+    nodes, positions, parents = level_order(t)
+    first = 1  # the level-order index of the node's first child
+    for k, (node, v) in enumerate(zip(nodes, positions)):
+        where = f"node {k} (bit {v})"
+        _expect_nav(f"children at {where}", len(node.children), nav.children(v))
+        for i in range(len(node.children)):
+            _expect_nav(f"child {i} at {where}", positions[first + i], nav.child(v, i))
+        first += len(node.children)
+        if k:
+            _expect_nav(f"parent at {where}", positions[parents[k]], nav.parent(v))
 
 
 def _expect_nav(what: str, want: int, got: int) -> None:

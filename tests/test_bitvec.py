@@ -45,6 +45,14 @@ class TestRank:
         assert index.rank(1, 4) == 2
         assert index.rank(1, 36) == 17
         assert index.rank(1, 58) == 26
+        for b in (0, 1):
+            for i in range(60):
+                assert index.rank(b, i) == oracle_rank(b, i, BITS58)
+
+    def test_empty_source(self):
+        index = BitVector([])
+        assert index.rank(1, 0) == 0
+        assert index.rank(0, 3) == 0
 
     @given(bit, bit_lists)
     def test_empty_prefix(self, b, s):
@@ -71,6 +79,30 @@ class TestRank:
     def test_rejects_negative_prefix(self):
         with pytest.raises(ValueError):
             BitVector([1, 0]).rank(1, -1)
+
+    def test_exhaustive_up_to_1024_bits(self):
+        rng = random.Random(1024)
+        s = [rng.randint(0, 1) for _ in range(1024)]
+        index = BitVector(s)
+        for b in (0, 1):
+            for i in range(len(s) + 1):
+                assert index.rank(b, i) == oracle_rank(b, i, s)
+
+    def test_randomized_large_source(self):
+        rng = random.Random(2024)
+        s = [rng.randint(0, 1) for _ in range(5000)]
+        index = BitVector(s)
+        for _ in range(500):
+            i = rng.randint(0, 5000)
+            b = rng.randint(0, 1)
+            assert index.rank(b, i) == oracle_rank(b, i, s)
+
+    @given(bit_lists)
+    def test_block_counts_are_boundary_ranks(self, s):
+        # the directory's per-word counts, read back at each word boundary
+        index = BitVector(s)
+        for k in range(0, len(s) + 1, 64):
+            assert index.rank(1, k) == oracle_rank(1, k, s)
 
 
 class TestSelect:
@@ -161,59 +193,6 @@ class TestSuccPred:
             BitVector([0]).pred(0, 0)
 
 
-class TestRankIndex:
-    """Rank through BitVector's directory agrees with the oracle's scan."""
-
-    def test_sample_query(self):
-        assert BitVector(BITS58).rank(1, 36) == 17
-
-    def test_empty_source(self):
-        index = BitVector([])
-        assert index.rank(1, 0) == 0
-        assert index.rank(0, 3) == 0
-
-    def test_exhaustive_agreement_on_sample(self):
-        index = BitVector(BITS58)
-        for b in (0, 1):
-            for i in range(60):
-                assert index.rank(b, i) == oracle_rank(b, i, BITS58)
-
-    @given(bit_lists)
-    def test_matches_naive_rank_everywhere(self, s):
-        index = BitVector(s)
-        for b in (0, 1):
-            for i in range(len(s) + 2):
-                assert index.rank(b, i) == oracle_rank(b, i, s)
-
-    def test_exhaustive_up_to_1024_bits(self):
-        rng = random.Random(1024)
-        s = [rng.randint(0, 1) for _ in range(1024)]
-        index = BitVector(s)
-        for b in (0, 1):
-            for i in range(len(s) + 1):
-                assert index.rank(b, i) == oracle_rank(b, i, s)
-
-    def test_randomized_large_source(self):
-        rng = random.Random(2024)
-        s = [rng.randint(0, 1) for _ in range(5000)]
-        index = BitVector(s)
-        for _ in range(500):
-            i = rng.randint(0, 5000)
-            b = rng.randint(0, 1)
-            assert index.rank(b, i) == oracle_rank(b, i, s)
-
-    def test_rejects_negative_prefix(self):
-        with pytest.raises(ValueError):
-            BitVector([1, 0, 1]).rank(1, -1)
-
-    @given(bit_lists)
-    def test_block_counts_are_boundary_ranks(self, s):
-        # the directory's per-word counts, read back at each word boundary
-        index = BitVector(s)
-        for k in range(0, len(s) + 1, 64):
-            assert index.rank(1, k) == oracle_rank(1, k, s)
-
-
 class TestBitVector:
     """Differential checks of BitVector against the oracles."""
 
@@ -300,9 +279,6 @@ class TestBitVector:
             BitVector([1, 0])[2]
         with pytest.raises(ValueError):
             BitVector([1]).select(1, -1)
-        for method in (BitVector([0]).succ, BitVector([0]).pred):
-            with pytest.raises(ValueError):
-                method(0, 0)
 
     @pytest.mark.parametrize(
         "method, arg", [("rank", 4), ("select", 1), ("succ", 1), ("pred", 4)]

@@ -136,6 +136,17 @@ class TestLoudsQuery:
         )
         assert (code, out.strip()) == (0, "3")
 
+    @pytest.mark.parametrize("op", ["children", "parent"])
+    def test_index_is_rejected_outside_child(self, capsys, op):
+        code, out, err = run(
+            capsys, "louds-query", op, "1110110011100001000", "--pos", "0", "--index", "7"
+        )
+        assert (code, out, err) == (2, "", "error: --index only applies to child\n")
+
+    def test_child_requires_an_index(self, capsys):
+        code, out, err = run(capsys, "louds-query", "child", LOUDS21_TEXT, "--pos", "0")
+        assert (code, out, err) == (2, "", "error: child requires --index\n")
+
     def test_invalid_position_is_rejected(self, capsys):
         code, _, err = run(capsys, "louds-query", "children", LOUDS21_TEXT, "--pos", "1")
         assert code == 2
@@ -281,6 +292,23 @@ class TestDbvRun:
         code, _, err = run(capsys, "dbv-run", str(path))
         assert code == 2
         assert "line 2" in err
+
+    def test_non_integer_argument_aborts_with_line_number(self, capsys, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("rank x\n")
+        code, out, err = run(capsys, "dbv-run", str(path))
+        assert (code, out) == (2, "")
+        assert "line 1: non-integer argument" in err
+
+    @pytest.mark.parametrize("bounds", ["8", "a,b"])
+    def test_malformed_bounds_are_usage_errors(self, capsys, tmp_path, bounds):
+        path = tmp_path / "s.txt"
+        path.write_text("rank 0\n")
+        with pytest.raises(SystemExit) as exit_:
+            main(["dbv-run", str(path), "--bounds", bounds])
+        captured = capsys.readouterr()
+        assert (exit_.value.code, captured.out) == (2, "")
+        assert f"bad bounds {bounds!r}" in captured.err
 
     def test_init_bits(self, capsys, tmp_path):
         path = tmp_path / "s.txt"

@@ -74,6 +74,8 @@ class TestFlattenAndQueries:
         assert drank(t, 20) == 3 == oracle_rank(1, 20, DBV40_FLAT)
         assert drank(t, 0) == 0
         assert drank(t, 40) == 10 == oracle_rank(1, 40, DBV40_FLAT)
+        with pytest.raises(ValueError):
+            drank(t, -1)
 
     def test_dselect_samples(self):
         t = dbv_sample()
@@ -160,6 +162,8 @@ class TestWellFormedness:
         with pytest.raises(ValueError):
             SizeBounds(8, 15)
         assert SizeBounds.from_w(8) == SizeBounds(32, 128)
+        with pytest.raises(ValueError):
+            SizeBounds.from_w(1)
 
 
 class TestRedblackCheck:

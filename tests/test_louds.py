@@ -3,6 +3,7 @@ import itertools
 import pickle
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -256,20 +257,35 @@ class TestNavigation:
     @settings(max_examples=100, deadline=None)
     @given(trees)
     def test_navigation_matches_tree_on_all_nodes(self, t):
-        nav = Louds(louds_encode(t))
+        # the level-order table against the paper's path definitions at
+        # every node, then Louds against the table
+        nodes, positions, parents = verify.level_order(t)
         paths = [[]]
-        index = 0
-        while index < len(paths):
-            p = paths[index]
-            index += 1
-            v = louds_position([t], p)
-            k = children(t, p)
-            assert nav.children(v) == k
-            for i in range(k):
-                child_pos = nav.child(v, i)
-                assert child_pos == louds_position([t], p + [i])
-                assert nav.parent(child_pos) == v
-                paths.append(p + [i])
+        for p in paths:  # the loop walks the paths while they grow
+            paths += [p + [i] for i in range(children(t, p))]
+        assert len(paths) == len(nodes)
+        for p, node, v, parent in zip(paths, nodes, positions, parents):
+            assert subtree(t, p) is node
+            assert louds_position([t], p) == v
+            assert children(t, p) == len(node.children)
+            assert parent == (paths.index(p[:-1]) if p else -1)
+        verify.check_navigation(t)
+
+    @pytest.mark.parametrize(
+        "t", [_chain(10**4), random_tree(random.Random(4), exact=10**4)], ids=["chain", "random"]
+    )
+    def test_check_navigation_is_linear(self, t):
+        # a walk from the root per node would be quadratic in the tree size
+        start = time.perf_counter()
+        verify.check_navigation(t)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("method", ["children", "child", "parent"])
+    def test_check_navigation_catches_an_off_by_one(self, monkeypatch, method):
+        query = getattr(Louds, method)
+        monkeypatch.setattr(Louds, method, lambda self, *args: query(self, *args) + 1)
+        with pytest.raises(verify.VerifyError, match=method):
+            verify.check_navigation(random_tree(random.Random(7), exact=50))
 
 
 class TestCheckedLayer:
@@ -338,32 +354,8 @@ class TestCheckedLayer:
 
     @pytest.mark.parametrize("seed,n", [(1, 200), (2, 777), (3, 2000)])
     def test_matches_formulas_and_paths_on_many_words(self, seed, n):
-        # every node of a tree spanning many 64-bit words; positions come
-        # from the breadth-first queue, cross-checked on a sample against
-        # the path definition louds_position
-        rng = random.Random(seed)
-        t = random_tree(rng, exact=n)
-        nav = Louds(louds_encode(t))
-        queue, paths, parent = [t], [[]], [None]
-        for k, node in enumerate(queue):
-            for i, c in enumerate(node.children):
-                queue.append(c)
-                paths.append(paths[k] + [i])
-                parent.append(k)
-        pos = [0]
-        for node in queue[:-1]:
-            pos.append(pos[-1] + len(node.children) + 1)
-        first_child = 1
-        for k, node in enumerate(queue):
-            v, deg = pos[k], len(node.children)
-            assert nav.children(v) == deg
-            for i in range(deg):
-                assert nav.child(v, i) == pos[first_child + i]
-            first_child += deg
-            if k:
-                assert nav.parent(v) == pos[parent[k]]
-        for k in rng.sample(range(n), 20):
-            assert louds_position([t], paths[k]) == pos[k]
+        # every node of a tree spanning many 64-bit words
+        verify.check_navigation(random_tree(random.Random(seed), exact=n))
 
     def test_deep_chain_encodes_without_recursion(self):
         n = 10**4
@@ -433,6 +425,7 @@ class TestTreeText:
             ("(a))", 1, 4),
             ("(a)\n(b)", 2, 1),
             ("()", 1, 2),
+            (")", 1, 1),
         ],
     )
     def test_parse_errors_carry_location(self, text, line, column):
