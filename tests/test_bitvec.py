@@ -45,6 +45,9 @@ class TestRank:
         assert index.rank(1, 4) == 2
         assert index.rank(1, 36) == 17
         assert index.rank(1, 58) == 26
+
+    def test_exhaustive_agreement_on_sample(self):
+        index = BitVector(BITS58)
         for b in (0, 1):
             for i in range(60):
                 assert index.rank(b, i) == oracle_rank(b, i, BITS58)
