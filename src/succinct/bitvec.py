@@ -192,8 +192,8 @@ class BitVector:
         return f"BitVector(parse_bits({format_bits(self)!r}))"
 
     def __reduce__(self):
-        # copy and pickle rebuild from the bits: memoryviews do not pickle
-        return BitVector, (bytes(self),)
+        # copy and pickle rebuild from the length and the bits as one int: memoryviews do not pickle
+        return _from_int, (self._len, int.from_bytes(self._words.obj, sys.byteorder))
 
     def rank(self, b: Bit, i: int) -> int:
         """Number of positions j < i holding b; i saturates at len."""
@@ -264,3 +264,11 @@ class BitVector:
             if below:
                 return (j & ~63) + below.bit_length()
         return self.select(b, self.rank(b, y))
+
+
+def _from_int(n: int, x: int) -> BitVector:
+    """The n-bit vector whose bit j is bit j of x, built by the checked
+    constructor; x must be an int from 0 up to 2**n - 1."""
+    if x >> n:  # nonzero for a negative x as well
+        raise ValueError(f"{x} is not an {n}-bit value")
+    return BitVector(format(x, f"0{n}b")[::-1][:n].encode().translate(_FROM_ASCII))

@@ -73,11 +73,16 @@ def parse_script(text: str) -> list[tuple[int, tuple]]:
 
 
 def _bounds_arg(text: str) -> SizeBounds:
+    """argparse type: leaf bounds written low,high."""
+    bad = f"bad bounds {text!r}"
     try:
-        low_s, high_s = text.split(",")
-        return SizeBounds(int(low_s), int(high_s))
-    except (ValueError, TypeError) as e:
-        raise argparse.ArgumentTypeError(f"bad bounds {text!r}: {e}") from None
+        low, high = map(int, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{bad}: expected two integers low,high") from None
+    try:
+        return SizeBounds(low, high)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"{bad}: {e}") from None
 
 
 def _at_least(least: int):

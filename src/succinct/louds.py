@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
-from operator import indexOf
+from operator import indexOf, length_hint
 from typing import Any, Iterable, Sequence
 
 from .bitvec import BitVector
@@ -219,6 +219,8 @@ class TreeParseError(ValueError):
 # token is a parenthesis or a maximal such run
 _LABEL = re.compile(r"[^\s()]+")
 _TREE_TOKEN = re.compile(r"[()]|" + _LABEL.pattern)
+# the fault a token stands for when it is not where the grammar allows it
+_FAULTS = {"(": "expected a label after '('", ")": "unbalanced ')'"}
 
 
 def _parse_error(text: str, k: int, message: str) -> TreeParseError:
@@ -227,38 +229,36 @@ def _parse_error(text: str, k: int, message: str) -> TreeParseError:
     return TreeParseError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
 
 
+def _tree_tokens(text: str) -> list[str]:
+    """``_TREE_TOKEN.findall(text)`` in one C-level pass: ``str.split`` splits on ``\\s``."""
+    return text.replace("(", " ( ").replace(")", " ) ").split()
+
+
 def parse_tree(text: str) -> Tree:
     """Parse the parenthesized form ``(label child*)``; labels are
     arbitrary non-whitespace tokens and become string node labels."""
-    tokens = _TREE_TOKEN.findall(text)
+    tokens = _tree_tokens(text)
     if not tokens:
         raise TreeParseError("empty input", 1, 1)
-    stack: list[tuple[str, list[Tree]]] = []
-    root: Tree | None = None
-    pos, end = 0, len(tokens)
-    while pos < end:
-        token = tokens[pos]
-        if root is not None:
-            raise _parse_error(text, pos, "trailing content after tree")
-        if token == "(":
-            if pos + 1 == end or tokens[pos + 1] in "()":
-                raise _parse_error(text, min(pos + 1, end - 1), "expected a label after '('")
-            stack.append((tokens[pos + 1], []))
-            pos += 2
-        elif token == ")":
-            if not stack:
-                raise _parse_error(text, pos, "unbalanced ')'")
-            node = Tree(*stack.pop())
-            if stack:
-                stack[-1][1].append(node)
-            else:
-                root = node
-            pos += 1
-        else:
-            raise _parse_error(text, pos, f"unexpected token {token!r}")
-    if root is None:
-        raise _parse_error(text, end - 1, "unexpected end of input")
-    return root
+    end, rest = len(tokens), iter(tokens)
+    labels, outer, kids = [], [], []  # open labels, their parents' kids, the innermost's kids
+    for token in rest:
+        if token == "(" and (label := next(rest, ")")) not in "()":
+            labels.append(label)
+            outer.append(kids)
+            kids = []
+        elif token == ")" and labels:
+            node = Tree(labels.pop(), kids)
+            if not labels:
+                if length_hint(rest):
+                    raise _parse_error(text, end - length_hint(rest), "trailing content after tree")
+                return node
+            kids = outer.pop()
+            kids.append(node)
+        else:  # the last token taken is at fault; a label missing at the end reads as ")"
+            why = _FAULTS.get(token, f"unexpected token {token!r}")
+            raise _parse_error(text, end - length_hint(rest) - 1, why)
+    raise _parse_error(text, end - 1, "unexpected end of input")
 
 
 def format_tree(t: Tree) -> str:

@@ -18,6 +18,10 @@ edge_lengths = st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129, 191, 192, 193])
 edge_lists = edge_lengths.flatmap(
     lambda n: st.integers(0, (1 << n) - 1).map(lambda x: [(x >> j) & 1 for j in range(n)])
 )
+# 513 to 1100 bits, past at least one 512-bit block edge, drawn as one int
+long_lists = st.integers(513, 1100).flatmap(
+    lambda n: st.integers(0, (1 << n) - 1).map(lambda x: [(x >> j) & 1 for j in range(n)])
+)
 # lengths at and around the 512-bit block edges of BitVector's directory
 BLOCK_LENGTHS = [511, 512, 513, 1023, 1024, 1025]
 # random words, and their ands (about a quarter 1s) and ors (three quarters)
@@ -100,9 +104,10 @@ class TestRank:
             b = rng.randint(0, 1)
             assert index.rank(b, i) == oracle_rank(b, i, s)
 
-    @given(bit_lists)
+    @given(long_lists)
     def test_block_counts_are_boundary_ranks(self, s):
-        # the directory's per-word counts, read back at each word boundary
+        # the directory's per-word counts, read back at each word boundary,
+        # across at least one 512-bit block edge
         index = BitVector(s)
         for k in range(0, len(s) + 1, 64):
             assert index.rank(1, k) == oracle_rank(1, k, s)
@@ -250,7 +255,7 @@ class TestBitVector:
         assert BitVector([1, 0, 1]) != BitVector([1, 0, 1, 0])
         assert BitVector([0] * 64) != BitVector([0] * 63)
 
-    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 512, 513, 10**5, "Louds"])
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 512, 513, 10**5, 10**6, "Louds"])
     def test_copy_and_pickle_keep_content(self, n):
         # the words and directory are memoryviews, which pickle cannot take
         rng = random.Random(n)
@@ -261,6 +266,16 @@ class TestBitVector:
         for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(copied) is type(value)
             assert copied == value and hash(copied) == hash(value)
+        # about one bit per bit: under 130,000 bytes for 10**6 bits
+        assert len(pickle.dumps(value)) < len(value) // 8 + 5000
+
+    @pytest.mark.parametrize("x", [8, 9, -1])
+    def test_unpickling_rejects_bits_past_the_length(self, x):
+        # the pickled int of a 3-bit vector is below 2**3
+        rebuild, (n, _) = BitVector([1, 0, 1]).__reduce__()
+        assert rebuild(n, 5) == BitVector([1, 0, 1])
+        with pytest.raises(ValueError):
+            rebuild(n, x)
 
     def test_is_immutable(self):
         index = BitVector([1, 0])

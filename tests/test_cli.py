@@ -300,7 +300,7 @@ class TestDbvRun:
         assert (code, out) == (2, "")
         assert "line 1: non-integer argument" in err
 
-    @pytest.mark.parametrize("bounds", ["8", "a,b"])
+    @pytest.mark.parametrize("bounds", ["8", "a,b", "1,2,3"])
     def test_malformed_bounds_are_usage_errors(self, capsys, tmp_path, bounds):
         path = tmp_path / "s.txt"
         path.write_text("rank 0\n")
@@ -309,6 +309,7 @@ class TestDbvRun:
         captured = capsys.readouterr()
         assert (exit_.value.code, captured.out) == (2, "")
         assert f"bad bounds {bounds!r}" in captured.err
+        assert "low,high" in captured.err
 
     def test_init_bits(self, capsys, tmp_path):
         path = tmp_path / "s.txt"
@@ -560,6 +561,7 @@ class TestVerifyCommand:
             (["--ops", "-3"], "--ops: must be at least 0"),
             (["--trees", "-1"], "--trees: must be at least 0"),
             (["--scripts", "-1"], "--scripts: must be at least 0"),
+            (["--bounds", "3,4"], "bad bounds '3,4': high must be at least 2*low"),
         ],
     )
     def test_bad_counts_are_usage_errors(self, capsys, argv, message):

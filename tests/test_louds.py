@@ -19,7 +19,7 @@ from succinct import (
     parse_tree,
     with_super_root,
 )
-from succinct.louds import height, number_of_nodes
+from succinct.louds import _TREE_TOKEN, _tree_tokens, height, number_of_nodes
 from succinct.oracle import bfs_queue, oracle_select
 from succinct.spec import (
     children,
@@ -432,6 +432,78 @@ class TestTreeText:
         with pytest.raises(TreeParseError) as err:
             parse_tree(text)
         assert (err.value.line, err.value.column) == (line, column)
+
+
+_REFERENCE_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
+def _reference_parse_tree(text: str) -> Tree:
+    """The regex-token parser that the one-split ``parse_tree`` replaced,
+    kept as the reference for its trees, messages and locations."""
+
+    def error(k: int, message: str) -> TreeParseError:
+        at = next(itertools.islice(_REFERENCE_TOKEN.finditer(text), k, None)).start()
+        return TreeParseError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
+
+    tokens = _REFERENCE_TOKEN.findall(text)
+    if not tokens:
+        raise TreeParseError("empty input", 1, 1)
+    stack: list[tuple[str, list[Tree]]] = []
+    root: Tree | None = None
+    pos, end = 0, len(tokens)
+    while pos < end:
+        token = tokens[pos]
+        if root is not None:
+            raise error(pos, "trailing content after tree")
+        if token == "(":
+            if pos + 1 == end or tokens[pos + 1] in "()":
+                raise error(min(pos + 1, end - 1), "expected a label after '('")
+            stack.append((tokens[pos + 1], []))
+            pos += 2
+        elif token == ")":
+            if not stack:
+                raise error(pos, "unbalanced ')'")
+            node = Tree(*stack.pop())
+            if stack:
+                stack[-1][1].append(node)
+            else:
+                root = node
+            pos += 1
+        else:
+            raise error(pos, f"unexpected token {token!r}")
+    if root is None:
+        raise error(end - 1, "unexpected end of input")
+    return root
+
+
+def _parse_outcome(parse, text: str):
+    """The parsed tree, or the parse error's message, line and column."""
+    try:
+        return parse(text)
+    except TreeParseError as err:
+        return str(err), err.line, err.column
+
+
+def test_parse_tree_matches_reference_on_every_short_text():
+    # every string of up to 6 characters over parentheses, a label
+    # character and three kinds of whitespace: 55,987 texts
+    texts = ("".join(chars) for k in range(7) for chars in itertools.product("()a \n\xa0", repeat=k))
+    count = 0
+    for text in texts:
+        assert _parse_outcome(parse_tree, text) == _parse_outcome(_reference_parse_tree, text), text
+        count += 1
+    assert count == 55_987
+
+
+def test_split_tokens_equal_regex_tokens_at_every_whitespace():
+    spaces = [c for c in map(chr, range(0x110000)) if c.isspace() or re.fullmatch(r"\s", c)]
+    assert " " in spaces and "\x1c" in spaces and "\u3000" in spaces
+    for c in spaces:
+        text = f"(a{c}(b){c})"
+        assert _tree_tokens(text) == _TREE_TOKEN.findall(text) == ["(", "a", "(", "b", ")", ")"]
+    # every code point in one text: one classified differently would split or join a token
+    every = "".join(map(chr, range(0x110000)))
+    assert _tree_tokens(every) == _TREE_TOKEN.findall(every)
 
 
 TEXT_LABELS = st.text(alphabet="ab_ ()", max_size=3)
