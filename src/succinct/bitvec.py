@@ -56,7 +56,10 @@ _NOT_BIT = re.compile(r"[^01\s]")
 
 def _text_bits(text: str) -> bytes:
     """The '0'/'1' bytes of ASCII bit text, whose whitespace is ignored
-    wherever it stands; any other character raises."""
+    wherever it stands; any other character raises.  Pure 0/1 text skips
+    the scan (isascii goes first: a lone surrogate cannot be encoded)."""
+    if text.isascii() and not (raw := text.encode()).translate(None, b"01"):
+        return raw
     bad = _NOT_BIT.search(text)
     if bad:
         raise ValueError(f"invalid bit character {bad[0]!r} at offset {bad.start()}")

@@ -5,12 +5,14 @@ the ops of ``verify.OPS``; ``louds-query --verify`` works out from the
 bits whether its tree sits under a super root, then reads the answer
 off that tree's ``verify.level_order`` table at the node of --pos.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error.
+Exit codes: 0 success, 1 verification mismatch, 2 usage, parse or I/O
+error; a closed stdout, as when piped into ``head``, is an I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from random import Random
@@ -51,24 +53,24 @@ def parse_script(text: str) -> list[tuple[int, tuple]]:
     rest <i>.  Blank lines and #-comments are skipped."""
     steps: list[tuple[int, tuple]] = []
     for lineno, line in enumerate(text.splitlines(), 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
+        parts = line.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = body.split()
-        name, rest = parts[0], parts[1:]
+        name = parts[0]
         if name not in OPS:
             raise ScriptError(lineno, f"unknown op {name!r}")
-        if len(rest) != (arity := OPS[name][0]):
+        if len(parts) != (arity := OPS[name][0]) + 1:
             raise ScriptError(lineno, f"{name} takes {arity} argument(s)")
         try:
-            nums = [int(x) for x in rest]
+            step = (name, int(parts[1]), int(parts[2])) if arity == 2 else (name, int(parts[1]))
         except ValueError:
+            body = line.split("#", 1)[0].strip()
             raise ScriptError(lineno, f"non-integer argument in {body!r}") from None
-        if nums[0] < 0:
+        if step[1] < 0:
             raise ScriptError(lineno, "indices must be non-negative")
-        if name == "insert" and nums[1] not in (0, 1):
+        if name == "insert" and step[2] not in (0, 1):
             raise ScriptError(lineno, "inserted bit must be 0 or 1")
-        steps.append((lineno, (name, *nums)))
+        steps.append((lineno, step))
     return steps
 
 
@@ -298,10 +300,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv[:1] == ["louds-query"]:
-        return _cmd_louds_query(_louds_query_parser().parse_intermixed_args(argv[1:]))
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        if argv[:1] == ["louds-query"]:
+            return _cmd_louds_query(_louds_query_parser().parse_intermixed_args(argv[1:]))
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except BrokenPipeError:
+        # the reader of stdout has gone: point stdout at devnull, as the
+        # signal docs' note on SIGPIPE does, so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
 
 
 if __name__ == "__main__":
