@@ -1,5 +1,7 @@
 """Shared fixture data: the worked examples every module is checked against."""
 
+import re
+
 from succinct import SizeBounds, Tree, parse_bits
 from succinct.dynamic import BLACK, RED, Leaf, Node
 
@@ -67,3 +69,13 @@ def del_merge_sample() -> tuple[Node, Node]:
     )
     after = Node(BLACK, Leaf.of(b("10101")), 5, 3, Leaf.of(b("1111")))
     return before, after
+
+
+def reference_text_bits(text: str) -> bytes:
+    """The '0'/'1' bytes of bit text as ``bitvec._text_bits`` read them
+    before its pure 0/1 shortcut: one scan for a character that is
+    neither a bit nor whitespace, then the whitespace dropped."""
+    bad = re.search(r"[^01\s]", text)
+    if bad:
+        raise ValueError(f"invalid bit character {bad[0]!r} at offset {bad.start()}")
+    return "".join(text.split()).encode()

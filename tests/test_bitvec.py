@@ -1,4 +1,5 @@
 import copy
+import itertools
 import operator
 import pickle
 import random
@@ -6,8 +7,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from samples import BITS58, LOUDS21
+from samples import BITS58, LOUDS21, reference_text_bits
 from succinct import BitVector, Louds, format_bits, parse_bits
+from succinct.bitvec import _text_bits
 from succinct.oracle import oracle_count, oracle_pred, oracle_rank, oracle_select, oracle_succ
 from succinct.verify import random_tree
 
@@ -452,3 +454,24 @@ class TestAsciiFormat:
     @given(bit_text)
     def test_matches_definition_on_random_text(self, text):
         assert outcome(parse_bits, text) == outcome(per_character_parse_bits, text)
+
+    def test_text_bits_match_the_reference_on_every_short_text(self):
+        # bits; ASCII, C0 and Unicode whitespace; stray ASCII, NUL, a
+        # Latin-1 letter and the lone surrogate that argv makes of byte 0xff
+        alphabet = "01 \t\n\x1c\x1f\xa0\x85\u2028" "2x\0\xe9\udcff"
+        for n in range(5):
+            for chars in itertools.product(alphabet, repeat=n):
+                text = "".join(chars)
+                want = outcome(reference_text_bits, text)
+                assert outcome(_text_bits, text) == want, text
+                want_bits = want if isinstance(want, str) else [c - 48 for c in want]
+                assert outcome(parse_bits, text) == want_bits, text
+
+    @pytest.mark.parametrize(
+        "text",
+        ["01" * 5000, "01" * 5000 + "\udcff", "\udcff" + "10" * 64, "10" * 64 + "\xe9",
+         "1" * 63 + "\n0" * 64 + "x"],
+        ids=["bits", "surrogate-last", "surrogate-first", "latin1-last", "newlines-then-x"],
+    )
+    def test_text_bits_match_the_reference_on_long_text(self, text):
+        assert outcome(_text_bits, text) == outcome(reference_text_bits, text)

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import os
 import re
 import subprocess
 import sys
 import time
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -13,8 +16,8 @@ from succinct import dump
 from succinct.dynamic import Leaf
 from succinct.louds import Louds, number_of_nodes
 from succinct.cli import main, parse_script, ScriptError
-from succinct.verify import ScriptRunner, VerifyError, random_script, random_tree
-from succinct import DynamicBitVector, SizeBounds, format_tree
+from succinct.verify import OPS, ScriptRunner, VerifyError, random_script, random_tree
+from succinct import DynamicBitVector, SizeBounds, format_tree, from_bits
 
 
 @pytest.fixture
@@ -22,6 +25,10 @@ def tree_file(tmp_path):
     path = tmp_path / "tree.txt"
     path.write_text(TREE10_TEXT)
     return str(path)
+
+
+# the environment of a child process that imports succinct from this checkout
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
 
 def run(capsys, *argv):
@@ -151,6 +158,11 @@ class TestLoudsQuery:
         code, _, err = run(capsys, "louds-query", "children", LOUDS21_TEXT, "--pos", "1")
         assert code == 2
         assert "position" in err
+
+    def test_negative_position_is_rejected(self, capsys):
+        code, out, err = run(capsys, "louds-query", "children", "11000", "--pos", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: -1 is not a node position in this encoding\n"
 
     def test_malformed_bits(self, capsys):
         code, _, err = run(capsys, "louds-query", "children", "10x", "--pos", "0")
@@ -323,13 +335,38 @@ class TestDbvRun:
         init = tmp_path / "init.txt"
         init.write_text('(leaf "1")')
         argv = ["dbv-run", str(script), "--init", "0", "--init-tree", str(init)]
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         done = subprocess.run(
-            [sys.executable, "-m", "succinct.cli", *argv], capture_output=True, text=True, env=env
+            [sys.executable, "-m", "succinct.cli", *argv], capture_output=True, text=True,
+            env=SUBPROCESS_ENV,
         )
         assert (done.returncode, done.stdout) == (2, "")
         assert "not allowed with argument" in done.stderr
         assert "Traceback" not in done.stderr
+
+    def test_closed_stdout_exits_2_without_a_traceback(self, tmp_path):
+        # 10^4 answers and the dump come to far more than a pipe holds, so
+        # the command is still printing when the reader goes away
+        script = tmp_path / "s.txt"
+        script.write_text("rank 50000\n" * 10**4)
+        argv = ["dbv-run", str(script), "--init", "01" * 50000, "--dump"]
+        proc = subprocess.Popen([sys.executable, "-m", "succinct.cli", *argv], env=SUBPROCESS_ENV,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"25000\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (2, "")
+
+    def test_surrogate_on_the_command_line_is_a_bad_bit(self, tmp_path):
+        # a byte that is not UTF-8 reaches argv as a lone surrogate
+        script = tmp_path / "s.txt"
+        script.write_text("rank 1\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "succinct.cli", "dbv-run", str(script), "--init", "01\udcff"],
+            capture_output=True, text=True, env=SUBPROCESS_ENV,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: invalid bit character '\\udcff' at offset 2\n"
 
     def test_verified_random_script(self, capsys, tmp_path):
         import random
@@ -589,6 +626,60 @@ class TestScriptParsing:
         with pytest.raises(ScriptError):
             parse_script("delete -1\n")
 
+    def test_matches_the_reference_reader_on_seeded_scripts(self):
+        rng = Random(21)
+        words = ["insert", "delete", "set", "clear", "rank", "select0", "select1", "access",
+                 "Rank", "nop", "insert2", "0", "1", "2", "17", "-1", "-0", "+3", "1_0",
+                 "\u0663", "\u00b2", "0x1", "1.0", "x", "#", "# note", "1#2"]
+        gaps = [" ", "  ", "\t", "\xa0", "\u3000", ""]
+        ends = ["\n", "\r\n", "\r", "\x1c", "\n\n"]
+        for _ in range(20_000):
+            lines = []
+            for _ in range(rng.randint(1, 4)):
+                k = rng.choice([1, 2, 2, 2, 3, 3, 4])
+                parts = [rng.choice(words[:8])] + [rng.choice(words) for _ in range(k - 1)]
+                if rng.random() < 0.5:
+                    parts[1:] = [str(rng.randint(-2, 9)) for _ in parts[1:]]
+                line = "".join(part + rng.choice(gaps) for part in parts)
+                if rng.random() < 0.2:  # a blank or comment-only line
+                    line = rng.choice(["", "# rank x", "#"])
+                lines.append(rng.choice(gaps) + line + rng.choice(ends))
+            text = "".join(lines)
+            assert outcome(parse_script, text) == outcome(reference_parse_script, text), text
+
+
+def reference_parse_script(text: str) -> list[tuple[int, tuple]]:
+    """``parse_script`` as written before it split each line once."""
+    steps: list[tuple[int, tuple]] = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split()
+        name, rest = parts[0], parts[1:]
+        if name not in OPS:
+            raise ScriptError(lineno, f"unknown op {name!r}")
+        if len(rest) != (arity := OPS[name][0]):
+            raise ScriptError(lineno, f"{name} takes {arity} argument(s)")
+        try:
+            nums = [int(x) for x in rest]
+        except ValueError:
+            raise ScriptError(lineno, f"non-integer argument in {body!r}") from None
+        if nums[0] < 0:
+            raise ScriptError(lineno, "indices must be non-negative")
+        if name == "insert" and nums[1] not in (0, 1):
+            raise ScriptError(lineno, "inserted bit must be 0 or 1")
+        steps.append((lineno, (name, *nums)))
+    return steps
+
+
+def outcome(parse, text):
+    """What parse reads from text, or the message and line of its ScriptError."""
+    try:
+        return parse(text)
+    except ScriptError as e:
+        return str(e), e.lineno
+
 
 class TestRunnerDivergenceDetection:
     def test_corrupted_mirror_is_detected(self):
@@ -637,3 +728,108 @@ class TestRunnerStep:
         with pytest.raises(ValueError):
             runner.step(op)
         assert runner.tree is tree and runner.steps == 1
+
+
+# The fuzz gate: any command line of the four subcommands, over files of
+# tree text, dumps and scripts, exits 0, 1 or 2 and raises nothing else.
+
+# bit text: pure 0/1, which _text_bits takes whole, and text with
+# whitespace, stray characters or the lone surrogate that argv makes of
+# byte 0xff, which it scans
+fuzz_bits = st.sampled_from(["101110110011100001000", "11000", "10", "0", "1", ""]) | st.text(
+    st.sampled_from("0011 \t\n\xa0x2\udcff"), max_size=12
+)
+fuzz_int = st.integers(-3, 24).map(str) | st.sampled_from(["x", "1.5", "", "+1", "\u0663"])
+fuzz_bounds = st.sampled_from(["1,2", "2,4", "3,8", "8,32", "8", "1,2,3", "a,b", "3,4", "0,0"])
+fuzz_tree = st.sampled_from([TREE10_TEXT, "(a)", "(a (b) (c))", "(a (b (c)))"]) | st.text(
+    st.sampled_from("()ab \n"), max_size=14
+)
+# a well-formed dump, at times with one piece spliced in; the surrogate
+# is written as byte 0xff, so such a file is not UTF-8
+fuzz_dump = st.builds(
+    lambda bits, bounds, at, piece: (text := dump(from_bits(bits, SizeBounds(*bounds))))[
+        : at % (len(text) + 1)] + piece + text[at % (len(text) + 1):],
+    st.lists(st.integers(0, 1), max_size=40),
+    st.sampled_from([(1, 2), (2, 4), (3, 8), (8, 32)]),
+    st.integers(0, 400),
+    st.sampled_from(["", "", "2", " ", "\n", "x", ")", '(leaf "1")', "\udcff", "\xa0"]),
+)
+# script lines that parse, and lines of any op, arity or argument
+fuzz_script = st.lists(
+    st.sampled_from(sorted(OPS)).flatmap(
+        lambda op: st.lists(st.integers(0, 12).map(str), min_size=OPS[op][0],
+                            max_size=OPS[op][0]).map(lambda args: " ".join([op, *args]))
+    )
+    | st.tuples(st.sampled_from([*OPS, "nop"]), st.lists(fuzz_int, max_size=3)).map(
+        lambda line: " ".join([line[0], *line[1]])
+    ),
+    max_size=5,
+).map("\n".join)
+# a file argument that names no file
+MISSING = "@missing"
+# true one time in five
+flip = st.integers(0, 4).map(lambda k: k == 0)
+
+
+@st.composite
+def command_lines(draw):
+    """argv of one command, with each file it reads named by a key of
+    files, which maps the key to the file's text."""
+    files = {}
+
+    def file(text):
+        files[key := f"@file{len(files)}"] = draw(text)
+        return key
+
+    def flags(*names):
+        return [name for name in names if draw(st.booleans())]
+
+    command = draw(st.sampled_from(["louds-build", "louds-query", "dbv-run", "verify"]))
+    if command == "louds-build":
+        return [command, file(fuzz_tree), *flags("--super-root", "--time")], files
+    if command == "louds-query":
+        op = draw(st.sampled_from(["children", "child", "parent"] * 3 + ["root"]))
+        bits_from = draw(st.sampled_from(["argv", "argv", "file", "file", "both", "none"]))
+        argv = [command, op] + ([draw(fuzz_bits)] if bits_from in ("argv", "both") else [])
+        argv += ["--pos", draw(fuzz_int)]
+        # --index belongs to child alone; at times it is left out or added
+        argv += ["--index", draw(fuzz_int)] if (op == "child") != draw(flip) else []
+        argv += ["--bits-file", file(fuzz_bits)] if bits_from in ("file", "both") else []
+        argv += ["--verify", file(fuzz_tree)] if draw(st.booleans()) else []
+        return argv, files
+    if command == "dbv-run":
+        argv = [command, MISSING if draw(flip) else file(fuzz_script)]
+        init = draw(st.sampled_from(["--init", "--init", "--init-tree", "--init-tree", "both",
+                                     "none"]))
+        argv += ["--init", draw(fuzz_bits)] if init in ("--init", "both") else []
+        argv += ["--init-tree", file(fuzz_dump)] if init in ("--init-tree", "both") else []
+        argv += ["--bounds", draw(fuzz_bounds)] if draw(st.booleans()) else []
+        return argv + flags("--verify", "--dump", "--time"), files
+    argv = [command, "--seed", draw(fuzz_int)]
+    for option, values in [("--trees", ["0", "1", "2", "-1", "x"]),
+                           ("--max-nodes", ["0", "1", "5", "12"]),
+                           ("--scripts", ["0", "1", "2"]), ("--ops", ["0", "5", "20", "-3"]),
+                           ("--bounds", ["1,2", "3,8", "8,32", "3,4"])]:
+        argv += [option, draw(st.sampled_from(values))] if draw(st.booleans()) else []
+    return argv, files
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(command_lines())
+def test_fuzzed_command_lines_exit_0_1_or_2(tmp_path, command):
+    argv, files = command
+    for key, text in files.items():
+        (tmp_path / key).write_bytes(text.encode("utf-8", "surrogateescape"))
+    argv = [str(tmp_path / arg) if arg in files or arg == MISSING else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse rejects the command line
+            code = e.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

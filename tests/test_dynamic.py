@@ -9,7 +9,14 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from samples import DBV40_FLAT, DEL_BOUNDS, dbv_sample, del_borrow_sample, del_merge_sample
+from samples import (
+    DBV40_FLAT,
+    DEL_BOUNDS,
+    dbv_sample,
+    del_borrow_sample,
+    del_merge_sample,
+    reference_text_bits,
+)
 from succinct import (
     BitVector,
     DynamicBitVector,
@@ -568,6 +575,19 @@ class TestDumpFormat:
         except ValueError:
             return
         assert parse_dump(dump(t)) == t
+
+    @pytest.mark.parametrize("leaf", ["0 2", "01\udcff", "1\x00", "\xe91", "\u20281x",
+                                      "0\t1\xa02", "1" * 3000 + "x", "\n\n01\n2"],
+                             ids=range(8))
+    def test_bad_leaf_is_reported_as_by_the_reference_scan(self, monkeypatch, leaf):
+        text = f'(Red num=1 ones=1\n  (leaf "1")\n  (leaf "{leaf}"))'
+        with pytest.raises(ValueError) as got:
+            parse_dump(text)
+        monkeypatch.setattr(dynamic_mod, "_text_bits", reference_text_bits)
+        with pytest.raises(ValueError) as want:
+            parse_dump(text)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith("in tree dump leaf (line 3, column 3)")
 
     def test_trailing_whitespace_reads_in_linear_time(self):
         # a scanner that tries a token at every trailing whitespace

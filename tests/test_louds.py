@@ -296,11 +296,17 @@ class TestCheckedLayer:
             nav.children(1)
         with pytest.raises(ValueError):
             nav.children(21)
+        for bits in (LOUDS21, [1, 1, 0, 0, 0], [0]):
+            assert Louds(bits).is_position(-1) is False
+            with pytest.raises(ValueError, match="^-1 is not a node position"):
+                Louds(bits).children(-1)
 
     def test_rejects_root_parent_and_bad_child_index(self):
         nav = Louds(LOUDS21)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^the root has no parent$"):
             nav.parent(0)
+        with pytest.raises(ValueError, match="^the root has no parent$"):
+            Louds([0]).parent(0)
         with pytest.raises(ValueError):
             nav.child(17, 1)
 
