@@ -4,6 +4,10 @@ Subcommands: louds-build, louds-query, dbv-run, verify.  dbv-run reads
 the ops of ``verify.OPS``; ``louds-query --verify`` works out from the
 bits whether its tree sits under a super root, then reads the answer
 off that tree's ``verify.level_order`` table at the node of --pos.
+The argparse tree is built once, at import.  main reads a subcommand's
+arguments intermixed, so its positionals may come before or after its
+options; read through the top level, a louds-query bit string after the
+options would be left over.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage, parse or I/O
 error; a closed stdout, as when piped into ``head``, is an I/O error.
@@ -182,26 +186,25 @@ def _verify_query(args, tree: Tree, bits: bytes, result: int) -> str | None:
 
 
 def _cmd_dbv_run(args) -> int:
-    bounds = args.bounds if args.bounds is not None else DEFAULT_BOUNDS
     try:
         steps = _parse_file(args.script, parse_script)
         if args.init_tree is not None:
             tree = _parse_file(args.init_tree, parse_dump)
             # the updates trust num/ones, the leaf window and the colors; a
             # tree that breaks them answers wrongly instead of failing
-            if not wf_check(tree, bounds):
-                at = f"{bounds.low},{bounds.high}"
+            if not wf_check(tree, args.bounds):
+                at = f"{args.bounds.low},{args.bounds.high}"
                 return _fail(f"{args.init_tree}: fails wf_check at bounds {at}", 2)
             if redblack_check(tree) is None:
                 return _fail(f"{args.init_tree}: fails redblack_check", 2)
         elif args.init is not None:
-            tree = from_bits(parse_bits(args.init), bounds)
+            tree = from_bits(parse_bits(args.init), args.bounds)
         else:
             tree = None
     except (OSError, ValueError) as e:
         return _fail(str(e), 2)
     try:
-        runner = ScriptRunner(bounds, verify=args.verify, tree=tree)
+        runner = ScriptRunner(args.bounds, verify=args.verify, tree=tree)
     except VerifyError as e:
         return _fail(str(e), 1)
     start = time.perf_counter()
@@ -223,7 +226,6 @@ def _cmd_dbv_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     rng = Random(args.seed)
-    bounds = args.bounds if args.bounds is not None else SizeBounds(8, 32)
     try:
         for _ in range(args.trees):
             tree = random_tree(rng, args.max_nodes)
@@ -236,9 +238,9 @@ def _cmd_verify(args) -> int:
             # (evenly filled leaves, a red last level) meet every repair
             tree, size = None, 0
             if k % 2:
-                size = rng.randint(0, 8 * bounds.high)
-                tree = from_bits([rng.getrandbits(1) for _ in range(size)], bounds)
-            runner = ScriptRunner(bounds, verify=True, tree=tree)
+                size = rng.randint(0, 8 * args.bounds.high)
+                tree = from_bits([rng.getrandbits(1) for _ in range(size)], args.bounds)
+            runner = ScriptRunner(args.bounds, verify=True, tree=tree)
             runner.run(random_script(rng, args.ops, size))
         print(f"dynamic: {args.scripts} scripts of {args.ops} ops checked")
     except VerifyError as e:
@@ -247,22 +249,8 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _louds_query_parser() -> argparse.ArgumentParser:
-    """The parser of louds-query's arguments, which main reads intermixed:
-    a subparser matches the optional bit string together with op, so a bit
-    string after the options would be left over."""
-    p = argparse.ArgumentParser(prog="succinct louds-query")
-    p.add_argument("op", choices=["children", "child", "parent"])
-    p.add_argument("bits", nargs="?", help="ASCII bit string")
-    p.add_argument("--bits-file", help="read the bit string from a file instead")
-    p.add_argument("--pos", type=int, required=True, help="bit position of the node")
-    p.add_argument("--index", type=int, help="child ordinal (for child)")
-    p.add_argument("--verify", metavar="TREE_FILE",
-                   help="cross-check against this tree, bare or under a super root")
-    return p
-
-
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, for usage and help, and each subcommand's by name."""
     parser = argparse.ArgumentParser(prog="succinct")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -272,15 +260,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time", action="store_true", help="print encoding time to stderr")
     p.set_defaults(func=_cmd_louds_build)
 
-    # listed only: main parses louds-query with _louds_query_parser
-    sub.add_parser("louds-query", help="navigate a LOUDS bit string")
+    p = sub.add_parser("louds-query", help="navigate a LOUDS bit string")
+    p.add_argument("op", choices=["children", "child", "parent"])
+    p.add_argument("bits", nargs="?", help="ASCII bit string")
+    p.add_argument("--bits-file", help="read the bit string from a file instead")
+    p.add_argument("--pos", type=int, required=True, help="bit position of the node")
+    p.add_argument("--index", type=int, help="child ordinal (for child)")
+    p.add_argument("--verify", metavar="TREE_FILE",
+                   help="cross-check against this tree, bare or under a super root")
+    p.set_defaults(func=_cmd_louds_query)
 
     p = sub.add_parser("dbv-run", help="replay a dynamic bit vector op script")
     p.add_argument("script", help="op script file, one op per line")
     init = p.add_mutually_exclusive_group()
     init.add_argument("--init", help="initial contents as an ASCII bit string")
     init.add_argument("--init-tree", help="initial tree in the debug dump format")
-    p.add_argument("--bounds", type=_bounds_arg, help="leaf bounds as low,high (default w=64)")
+    p.add_argument("--bounds", type=_bounds_arg, default=DEFAULT_BOUNDS,
+                   help="leaf bounds as low,high (default w=64)")
     p.add_argument("--verify", action="store_true", help="mirror every op on the flat oracle")
     p.add_argument("--dump", action="store_true", help="print the final tree")
     p.add_argument("--time", action="store_true", help="print replay time to stderr")
@@ -292,18 +288,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nodes", type=_at_least(1), default=40)
     p.add_argument("--scripts", type=_at_least(0), default=10)
     p.add_argument("--ops", type=_at_least(0), default=200)
-    p.add_argument("--bounds", type=_bounds_arg, help="leaf bounds as low,high (default 8,32)")
+    p.add_argument("--bounds", type=_bounds_arg, default=SizeBounds(8, 32),
+                   help="leaf bounds as low,high (default 8,32)")
     p.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
+
+
+_PARSER, _SUBCOMMANDS = _build_parser()
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if argv[:1] == ["louds-query"]:
-            return _cmd_louds_query(_louds_query_parser().parse_intermixed_args(argv[1:]))
-        args = build_parser().parse_args(argv)
+        command = _SUBCOMMANDS.get(argv[0]) if argv else None
+        args = command.parse_intermixed_args(argv[1:]) if command else _PARSER.parse_args(argv)
         return args.func(args)
     except BrokenPipeError:
         # the reader of stdout has gone: point stdout at devnull, as the

@@ -257,6 +257,16 @@ class TestBitVector:
         assert BitVector([1, 0, 1]) != BitVector([1, 0, 1, 0])
         assert BitVector([0] * 64) != BitVector([0] * 63)
 
+    def test_equality_with_a_list_is_left_to_python(self):
+        assert BitVector([0, 1]) != [0, 1]
+        assert BitVector([0, 1]).__eq__([0, 1]) is NotImplemented
+
+    @pytest.mark.parametrize("n", [0, 1, 513])
+    def test_repr_evaluates_back_to_the_vector(self, n):
+        rng = random.Random(n)
+        v = BitVector([rng.randint(0, 1) for _ in range(n)])
+        assert eval(repr(v), {"BitVector": BitVector, "parse_bits": parse_bits}) == v
+
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 512, 513, 10**5, 10**6, "Louds"])
     def test_copy_and_pickle_keep_content(self, n):
         # the words and directory are memoryviews, which pickle cannot take

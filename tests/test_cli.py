@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import os
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from samples import LOUDS21_TEXT, TREE10_TEXT, del_borrow_sample
 from succinct import dump
-from succinct.dynamic import Leaf
+from succinct.dynamic import RED, Leaf, Node
 from succinct.louds import Louds, number_of_nodes
 from succinct.cli import main, parse_script, ScriptError
 from succinct.verify import OPS, ScriptRunner, VerifyError, random_script, random_tree
@@ -39,6 +40,63 @@ def run(capsys, *argv):
 
 # what --time adds to stderr, and all it adds
 TIME_LINE = re.compile(r"time: \d+\.\d{6}s\n")
+
+
+class TestOneParser:
+    """main reads every subcommand with the parsers built at import, each
+    intermixed, and falls back to the top-level parser for usage and help."""
+
+    @pytest.fixture
+    def script(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("insert 0 1\ninsert 1 0\nrank 2\n")
+        return str(path)
+
+    def test_no_parser_is_built_per_call(self, capsys, monkeypatch, tree_file, script):
+        def no_parser(*args, **kwargs):
+            raise AssertionError("an argparse parser was built after import")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", no_parser)
+        for argv, want in [
+            (["louds-build", tree_file], LOUDS21_TEXT[2:]),
+            (["louds-query", "parent", LOUDS21_TEXT, "--pos", "17"], "10"),
+            (["dbv-run", script], "1"),
+            (["verify", "--trees", "1", "--scripts", "1", "--ops", "5"], "ok"),
+        ]:
+            code, out, _ = run(capsys, *argv)
+            assert (code, out.splitlines()[-1]) == (0, want), argv
+
+    @pytest.mark.parametrize("command", ["louds-build", "louds-query", "dbv-run", "verify"])
+    def test_positional_after_the_options(self, capsys, tree_file, script, command):
+        argv, want = {
+            "louds-build": (["--super-root", tree_file], LOUDS21_TEXT),
+            "louds-query": (["children", "--pos", "0", "100"], "1"),
+            "dbv-run": (["--verify", script], "1"),
+            "verify": (["--seed", "1"], "ok"),
+        }[command]
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out.splitlines()[-1], err) == (0, want, "")
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"]], ids=["none", "unknown"])
+    def test_no_subcommand_gets_the_top_level_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: succinct [-h] {louds-build,")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["-h"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: succinct [-h]")
+
+    def test_unrecognized_argument_gets_the_subcommand_usage(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "x"])
+        err = capsys.readouterr().err
+        assert exit_.value.code == 2
+        assert err.startswith("usage: succinct verify ")
+        assert err.endswith("succinct verify: error: unrecognized arguments: x\n")
 
 
 class TestLoudsBuild:
@@ -454,6 +512,18 @@ class TestDbvRun:
         assert code == 1
         assert "oracle" in err
 
+    def test_verify_checks_the_initial_state(self, capsys, tmp_path, monkeypatch):
+        import succinct.cli as cli_mod
+
+        # a leaf beyond the upper bound, as if from_bits had built it
+        monkeypatch.setattr(cli_mod, "from_bits", lambda bits, bounds: Leaf.of([1] * 100))
+        path = tmp_path / "s.txt"
+        path.write_text("access 0\n")
+        code, out, err = run(capsys, "dbv-run", str(path), "--verify", "--init", "1",
+                             "--bounds", "8,32")
+        assert (code, out) == (1, "")
+        assert err == "error: step 0 initial state: well-formedness lost\n"
+
     def test_unverified_run_does_not_check(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(DynamicBitVector, "rank", lambda self, i: -1)
         path = tmp_path / "s.txt"
@@ -706,6 +776,21 @@ class TestRunnerDivergenceDetection:
         runner.step(("insert", 0, bit))
         with pytest.raises(VerifyError, match=re.escape(f"step 2 ('{kind}', 0)")):
             runner.step((kind, 0))
+
+    def test_red_root_after_a_step_is_detected(self, monkeypatch):
+        # the same bits under a red root: only the red-black check sees it
+        access = DynamicBitVector.access
+
+        def reddening_access(self, i):
+            t = self.tree
+            self.tree = Node(RED, t.left, t.num, t.ones, t.right)
+            return access(self, i)
+
+        bounds = SizeBounds(8, 32)
+        runner = ScriptRunner(bounds, verify=True, tree=from_bits([1, 0] * 100, bounds))
+        monkeypatch.setattr(DynamicBitVector, "access", reddening_access)
+        with pytest.raises(VerifyError, match=r"^step 1 \('access', 0\): red-black invariant"):
+            runner.step(("access", 0))
 
     def test_bad_initial_tree_is_detected(self):
         from succinct.dynamic import Leaf

@@ -96,6 +96,19 @@ class TestTraversals:
     def test_traversals_match_queue_oracle(self, t):
         assert lo_traversal_st(lambda n: n.label, t) == bfs_queue(t)
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("bfs_queue", "structural traversal disagrees with the queue oracle"),
+            ("lo_traversal", "height-iterated traversal disagrees with the queue oracle"),
+            ("lo_traversal_lt", "path-bounded traversal did not converge to the full one"),
+        ],
+    )
+    def test_verify_catches_each_disagreeing_traversal(self, monkeypatch, name, message):
+        monkeypatch.setattr(verify, name, lambda *args: [])
+        with pytest.raises(verify.VerifyError, match=f"^{message}$"):
+            verify.check_traversals(TREE10)
+
     @given(trees)
     def test_level_widths_match_forest_iteration(self, t):
         widths = []
@@ -156,6 +169,27 @@ class TestEncoding:
 
         monkeypatch.setattr(verify, "louds_encode", ones_first)
         with pytest.raises(verify.VerifyError, match="node descriptions"):
+            verify.check_encoding(TREE10)
+
+    @pytest.mark.parametrize(
+        "description, message",
+        [
+            # two 0s a node: 3n - 1 bits
+            (lambda kids: [1] * len(kids) + [0, 0], "^encoding of 10 nodes has 29 bits, want 19$"),
+            # the right length with the 0s and 1s swapped
+            (lambda kids: [0] * len(kids) + [1], "^encoding bit counts do not match"),
+        ],
+        ids=["size-law", "bit-counts"],
+    )
+    def test_verify_checks_the_size_law_and_bit_counts(self, monkeypatch, description, message):
+        # the encoder agrees with the wrong spec, so only the laws can catch it
+        def encode(t):
+            descriptions = lo_traversal_st(lambda n: description(n.children), t)
+            return [bit for d in descriptions for bit in d]
+
+        monkeypatch.setattr(verify, "node_description", description)
+        monkeypatch.setattr(verify, "louds_encode", encode)
+        with pytest.raises(verify.VerifyError, match=message):
             verify.check_encoding(TREE10)
 
     @pytest.mark.parametrize(
