@@ -228,7 +228,7 @@ def _cmd_verify(args) -> int:
     rng = Random(args.seed)
     try:
         for _ in range(args.trees):
-            tree = random_tree(rng, args.max_nodes)
+            tree = random_tree(rng, rng.randint(1, args.max_nodes))
             check_traversals(tree)
             check_encoding(tree)
             check_navigation(tree)

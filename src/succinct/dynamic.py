@@ -16,9 +16,11 @@ filled leaves in O(n).  Every operation walks from the root to one leaf
 once: an index past either end steers to the end leaf, whose offset
 check is the range check.
 
-Updates are purely functional: they return new trees that share all
-untouched subtrees with the input.  ``dflatten`` defines the meaning of
-a tree, and every operation here is equivalent to the corresponding
+Updates are purely functional: each returns a tree, new but sharing
+every untouched subtree with the input, or the input itself when nothing
+changed (``dset`` of a 1, ``dclear`` of a 0), so ``is`` tells whether an
+update changed anything.  ``dflatten`` defines the meaning of a tree,
+and every operation here is equivalent to the corresponding
 flat-sequence operation on ``dflatten`` -- the test suite checks
 exactly that, against the naive implementations in ``oracle``.
 """
@@ -106,12 +108,13 @@ class Leaf(int):
 _leaf = partial(int.__new__, Leaf)
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Node:
     """An internal node; (num, ones) describe its left subtree.  Equal,
     hashed, shown, pickled and copied by its preorder, so any depth is
     safe."""
 
+    __slots__ = ("color", "left", "num", "ones", "right")
     color: Color
     left: "DTree"
     num: int
@@ -446,33 +449,27 @@ def dinsert(t: DTree, b: int, i: int, bounds: SizeBounds) -> DTree:
 # set / clear
 
 
-def _dset(t: DTree, i: int, value: int) -> tuple[DTree, bool]:
+def _dset(t: DTree, i: int, value: int) -> DTree:
+    """t with bit i set to value; t itself when the bit already holds it."""
     if isinstance(t, Leaf):
         if i < 0 or (x := t >> i) < 2:
             raise IndexError("bit index out of range")
-        if x & 1 == value:
-            return t, False
-        return _leaf(t ^ 1 << i), True
+        return t if x & 1 == value else _leaf(t ^ 1 << i)
     if i < t.num:
-        left, changed = _dset(t.left, i, value)
-        if not changed:
-            return t, False
-        delta = 1 if value else -1
-        return Node(t.color, left, t.num, t.ones + delta, t.right), True
-    right, changed = _dset(t.right, i - t.num, value)
-    if not changed:
-        return t, False
-    return Node(t.color, t.left, t.num, t.ones, right), True
+        left = _dset(t.left, i, value)
+        return t if left is t.left else Node(t.color, left, t.num, t.ones + 2 * value - 1, t.right)
+    right = _dset(t.right, i - t.num, value)
+    return t if right is t.right else Node(t.color, t.left, t.num, t.ones, right)
 
 
-def dset(t: DTree, i: int) -> tuple[DTree, bool]:
-    """Set bit i to 1; reports whether anything changed.  Shape, colors
-    and untouched metadata are preserved."""
+def dset(t: DTree, i: int) -> DTree:
+    """Set bit i to 1.  Shape, colors and untouched metadata are
+    preserved, and t itself comes back when the bit was already 1."""
     return _dset(t, i, 1)
 
 
-def dclear(t: DTree, i: int) -> tuple[DTree, bool]:
-    """Clear bit i to 0; reports whether anything changed."""
+def dclear(t: DTree, i: int) -> DTree:
+    """Clear bit i to 0; t itself comes back when the bit was already 0."""
     return _dset(t, i, 0)
 
 
@@ -683,12 +680,12 @@ class DynamicBitVector:
         self.tree = ddelete(self.tree, i, self.bounds)
 
     def set(self, i: int) -> bool:
-        self.tree, changed = dset(self.tree, i)
-        return changed
+        old, self.tree = self.tree, dset(self.tree, i)
+        return self.tree is not old
 
     def clear(self, i: int) -> bool:
-        self.tree, changed = dclear(self.tree, i)
-        return changed
+        old, self.tree = self.tree, dclear(self.tree, i)
+        return self.tree is not old
 
     def rank(self, i: int) -> int:
         return drank(self.tree, i)

@@ -45,14 +45,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class Tree:
     """Arbitrarily-branching ordered tree; a leaf has no children.  Equal,
     hashed, shown, pickled and copied by the level-order (label, child
     count) list, so any depth is safe."""
 
-    label: Any = None
-    children: tuple["Tree", ...] = ()
+    __slots__ = ("label", "children")
+    label: Any
+    children: tuple["Tree", ...]
 
     def __init__(self, label: Any = None, children: Iterable["Tree"] = ()):
         # the slots' own setters, as in dynamic.Node: cheaper than the generated __init__

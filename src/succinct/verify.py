@@ -34,10 +34,10 @@ class VerifyError(Exception):
     """An implementation result diverged from its oracle."""
 
 
-def random_tree(rng: Random, max_nodes: int = 60, exact: int | None = None) -> Tree:
-    """Random tree built by attaching each node to a random earlier one;
-    labels are creation indices."""
-    n = exact if exact is not None else rng.randint(1, max_nodes)
+def random_tree(rng: Random, n: int) -> Tree:
+    """Random n-node tree built by attaching each node to a random
+    earlier one; labels are creation indices.  For a random size, draw
+    n first, as ``rng.randint(1, max_nodes)``."""
     kids: list[list[int]] = [[] for _ in range(n)]
     for node in range(1, n):
         kids[rng.randrange(node)].append(node)
@@ -163,22 +163,19 @@ OPS = {
 
 
 class ScriptRunner:
-    """Applies script ops to a ``DynamicBitVector``; with verify on,
-    mirrors every op on a flat list and checks its answer plus the
-    structural invariants after each step.  With verify off there is no
-    mirror and no oracle call."""
+    """Applies script ops to a ``DynamicBitVector``; with verify on, mirrors
+    every op on the flat list ``flat`` (an empty one still verifies) and
+    checks its answer plus the structural invariants after each step.
+    With verify off ``flat`` is None: no mirror and no oracle call."""
 
     def __init__(self, bounds: SizeBounds, verify: bool = False, tree: DTree | None = None):
         self.vector = DynamicBitVector(bounds=bounds)
         if tree is not None:
             self.vector.tree = tree
-        self.verify = verify
-        self.flat: list[int] | None = None
+        self.flat: list[int] | None = dflatten(self.tree) if verify else None
         self.steps = 0
-        if verify:
-            self.flat = dflatten(self.tree)
-            if tree is not None:
-                self._check_invariants("initial state")
+        if verify and tree is not None:
+            self._check_invariants("initial state")
 
     @property
     def tree(self) -> DTree:
@@ -198,7 +195,7 @@ class ScriptRunner:
         method = getattr(self.vector, kind)
         result = method(op[1], op[2]) if arity == 2 else method(op[1])
         self.steps += 1
-        if self.verify:
+        if self.flat is not None:
             self.flat, want = meaning(self.flat, *op[1:])
             if result != want:
                 raise VerifyError(f"step {self.steps} {op}: got {result}, oracle says {want}")

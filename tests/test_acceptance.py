@@ -70,7 +70,7 @@ def test_criterion_3_size_law():
     rng = random.Random(1003)
     start = time.perf_counter()
     for _ in range(500):
-        t = random_tree(rng, 2000)
+        t = random_tree(rng, rng.randint(1, 2000))
         assert len(louds_encode(t)) == 2 * number_of_nodes(t) - 1
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"took {elapsed:.2f} s"
@@ -81,7 +81,7 @@ def test_criterion_4_traversal_equivalences():
     rng = random.Random(1004)
     label = lambda n: n.label
     for _ in range(200):
-        t = random_tree(rng, 500)
+        t = random_tree(rng, rng.randint(1, 500))
         structural = lo_traversal_st(label, t)
         assert structural == lo_traversal(label, t)
         assert structural == bfs_queue(t)
@@ -94,7 +94,7 @@ def test_criterion_5_navigation():
     rng = random.Random(1005)
     start = time.perf_counter()
     for _ in range(100):
-        check_navigation(random_tree(rng, 150))
+        check_navigation(random_tree(rng, rng.randint(1, 150)))
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"took {elapsed:.2f} s"
 

@@ -272,7 +272,7 @@ class TestBitVector:
         # the words and directory are memoryviews, which pickle cannot take
         rng = random.Random(n)
         if n == "Louds":
-            value = Louds.encode(random_tree(rng, exact=3000))
+            value = Louds.encode(random_tree(rng, 3000))
         else:
             value = BitVector([rng.randint(0, 1) for _ in range(n)])
         for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):

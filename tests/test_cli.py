@@ -164,7 +164,7 @@ class TestLoudsBuild:
 
         rng = random.Random(71)
         for k in range(10):
-            t = random_tree(rng, 50)
+            t = random_tree(rng, rng.randint(1, 50))
             path = tmp_path / f"r{k}.txt"
             path.write_text(format_tree(t))
             code, out, _ = run(capsys, "louds-build", str(path))
@@ -791,6 +791,15 @@ class TestRunnerDivergenceDetection:
         monkeypatch.setattr(DynamicBitVector, "access", reddening_access)
         with pytest.raises(VerifyError, match=r"^step 1 \('access', 0\): red-black invariant"):
             runner.step(("access", 0))
+
+    def test_an_empty_mirror_still_verifies(self, monkeypatch):
+        # with no tree the mirror starts as [], which must not read as verify off
+        insert = DynamicBitVector.insert
+        monkeypatch.setattr(DynamicBitVector, "insert", lambda self, i, b: insert(self, i, 1 - b))
+        runner = ScriptRunner(SizeBounds(8, 32), verify=True)
+        assert runner.flat == []
+        with pytest.raises(VerifyError, match=r"^step 1 \('insert', 0, 1\): contents diverged"):
+            runner.step(("insert", 0, 1))
 
     def test_bad_initial_tree_is_detected(self):
         from succinct.dynamic import Leaf

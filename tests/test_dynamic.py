@@ -227,15 +227,23 @@ class TestInsert:
 class TestSetClear:
     def test_set_then_access(self):
         t = from_bits(b("0000000000"), BOUNDS)
-        t2, changed = dset(t, 7)
-        assert changed and daccess(t2, 7) == 1
+        t2 = dset(t, 7)
+        assert t2 is not t and daccess(t2, 7) == 1
 
     def test_set_is_idempotent_and_preserves_identity(self):
-        t = from_bits(b("0100"), BOUNDS)
-        t2, changed = dset(t, 1)
-        assert not changed and t2 is t
-        t3, changed = dclear(t, 0)
-        assert not changed and t3 is t
+        """At every index of a multi-leaf tree and of a root leaf, an update
+        returns its input itself exactly when the bit already holds the
+        value, and the vector's set/clear report False exactly then."""
+        bounds = SizeBounds(3, 8)
+        for bits, root_is_leaf in ((b("10011010111000101101"), False), (b("0110"), True)):
+            t = from_bits(bits, bounds)
+            assert isinstance(t, Leaf) is root_is_leaf
+            for i, bit in enumerate(bits):
+                for update, method, value in ((dset, "set", 1), (dclear, "clear", 0)):
+                    assert (update(t, i) is t) == (bit == value), (update.__name__, i)
+                    vec = DynamicBitVector(bits, bounds=bounds)
+                    assert getattr(vec, method)(i) == (bit != value), (method, i)
+                    assert vec.to_bits() == update_at(bits, i, value)
 
     def test_random_set_clear_match_oracle(self):
         rng = random.Random(31)
@@ -244,10 +252,10 @@ class TestSetClear:
             t = from_bits(flat, BOUNDS)
             i = rng.randrange(len(flat))
             if rng.random() < 0.5:
-                t, _ = dset(t, i)
+                t = dset(t, i)
                 flat = update_at(flat, i, 1)
             else:
-                t, _ = dclear(t, i)
+                t = dclear(t, i)
                 flat = update_at(flat, i, 0)
             check_state(t, flat, BOUNDS)
 
@@ -259,8 +267,7 @@ class TestSetClear:
                 return ("leaf", node.length)
             return (node.color, shape(node.left), shape(node.right))
 
-        t2, _ = dset(t, 33)
-        assert shape(t2) == shape(t)
+        assert shape(dset(t, 33)) == shape(t)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
@@ -980,7 +987,7 @@ def test_ops_at_every_leaf_edge_match_oracle(bits, bit):
             if want is IndexError:
                 assert got is IndexError
             else:
-                check_state(got[0] if isinstance(got, tuple) else got, want, bounds)
+                check_state(got, want, bounds)
         assert _outcome(daccess, t, i) == _outcome(_flat_access, bits, i)
 
 
@@ -1046,7 +1053,7 @@ def test_sentinel_leaf_updates_match_oracle(bits):
             if want is IndexError:
                 assert got is IndexError, i
             else:
-                check_state(got[0] if isinstance(got, tuple) else got, want, bounds)
+                check_state(got, want, bounds)
 
 
 @pytest.mark.parametrize("bounds", [SizeBounds(30, 61), SizeBounds(32, 64), SizeBounds(64, 129)], ids=str)

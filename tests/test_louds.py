@@ -306,7 +306,7 @@ class TestNavigation:
         verify.check_navigation(t)
 
     @pytest.mark.parametrize(
-        "t", [_chain(10**4), random_tree(random.Random(4), exact=10**4)], ids=["chain", "random"]
+        "t", [_chain(10**4), random_tree(random.Random(4), 10**4)], ids=["chain", "random"]
     )
     def test_check_navigation_is_linear(self, t):
         # a walk from the root per node would be quadratic in the tree size
@@ -319,7 +319,7 @@ class TestNavigation:
         query = getattr(Louds, method)
         monkeypatch.setattr(Louds, method, lambda self, *args: query(self, *args) + 1)
         with pytest.raises(verify.VerifyError, match=method):
-            verify.check_navigation(random_tree(random.Random(7), exact=50))
+            verify.check_navigation(random_tree(random.Random(7), 50))
 
 
 class TestCheckedLayer:
@@ -395,7 +395,7 @@ class TestCheckedLayer:
     @pytest.mark.parametrize("seed,n", [(1, 200), (2, 777), (3, 2000)])
     def test_matches_formulas_and_paths_on_many_words(self, seed, n):
         # every node of a tree spanning many 64-bit words
-        verify.check_navigation(random_tree(random.Random(seed), exact=n))
+        verify.check_navigation(random_tree(random.Random(seed), n))
 
     def test_deep_chain_encodes_without_recursion(self):
         n = 10**4
@@ -420,7 +420,7 @@ class TestTreeText:
     def test_format_roundtrip(self):
         rng = random.Random(5)
         for _ in range(20):
-            t = random_tree(rng, 40)
+            t = random_tree(rng, rng.randint(1, 40))
             relabeled = parse_tree(format_tree(t))
             assert bfs_queue(relabeled) == [str(x) for x in bfs_queue(t)]
 

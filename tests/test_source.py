@@ -1,6 +1,7 @@
 """Static checks on the library's source: every name a module imports is
 used in it, and every private module-level name is read somewhere in the
-package, so an import or helper left behind by a deletion fails here."""
+package, so an import or helper left behind by a deletion fails here; and
+no dataclass is both frozen and ``slots=True``."""
 
 import ast
 from pathlib import Path
@@ -86,3 +87,34 @@ def test_an_unread_private_name_is_found():
         "b": "from .a import _used, _X\n_used()\n",
     }
     assert unread_private_names(sources) == ["a line 2: _own", "a line 3: _Y", "a line 4: _Dead"]
+
+
+def frozen_slots_dataclasses(source: str) -> list[str]:
+    """The classes of source decorated ``@dataclass(..., frozen=True,
+    slots=True, ...)``.  For such a class dataclass builds a new class, and
+    the frozen ``__setattr__``/``__delattr__`` it keeps call ``super()``
+    with the old one, so setting or deleting any name that is not a field
+    raises TypeError instead of FrozenInstanceError (CPython 3.11); declare
+    ``__slots__`` in the class body instead."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for deco in node.decorator_list:
+                flags = {kw.arg for kw in getattr(deco, "keywords", ())
+                         if isinstance(kw.value, ast.Constant) and kw.value.value is True}
+                if {"frozen", "slots"} <= flags:
+                    found.append(f"line {node.lineno}: {node.name}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_no_dataclass_is_both_frozen_and_slots(path):
+    assert frozen_slots_dataclasses(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_frozen_slots_dataclass_is_found():
+    source = ("@dataclass(frozen=True)\nclass A: pass\n"
+              "@dataclass(slots=True, frozen=True, eq=False)\nclass B: pass\n"
+              "@dataclasses.dataclass(frozen=True, slots=True)\nclass C: pass\n"
+              "@dataclass(frozen=True, slots=False)\nclass D:\n    __slots__ = ()\n")
+    assert frozen_slots_dataclasses(source) == ["line 4: B", "line 6: C"]

@@ -89,5 +89,10 @@ def test_node_leaf_and_tree_are_frozen_slotted_values():
             setattr(value, field, 7)
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(value, field)
+        # a name that is no field is refused the same way, not with a TypeError
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, "extra", 7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, "extra")
     assert (louds.Tree().label, louds.Tree().children) == (None, ())
     assert type(tree.children) is tuple and tree.children == (louds.Tree("b"), louds.Tree(None))
