@@ -30,7 +30,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Iterable
 
 from .bitvec import _FROM_ASCII, _ascii_bits, _halve, _halves, _text_bits
@@ -73,16 +72,11 @@ BLACK = Color.BLACK
 
 
 class Leaf(int):
-    """``length`` bits packed LSB-first below a sentinel 1: the int
-    ``word | 1 << length``, immutable and equal and hashed by content;
-    ``word`` and ``length`` are read-only views of it."""
+    """``length`` bits packed LSB-first below a sentinel 1: ``Leaf(x)``
+    is the int x = ``word | 1 << length``, immutable and equal and hashed
+    by content; ``word`` and ``length`` are read-only views of it."""
 
     __slots__ = ()
-
-    def __new__(cls, word: int, length: int) -> "Leaf":
-        if word < 0 or length < 0 or word >> length:
-            raise ValueError(f"a leaf of {length} bits cannot hold the word {word}")
-        return _leaf(word | 1 << length)
 
     @classmethod
     def of(cls, bits: Iterable[int]) -> "Leaf":
@@ -98,14 +92,7 @@ class Leaf(int):
         return self.bit_length() - 1
 
     def __repr__(self):
-        return f"Leaf(word={self.word}, length={self.length})"
-
-    def __reduce__(self):
-        return Leaf, (self.word, self.length)
-
-
-# the unchecked constructor, for an int that already carries its sentinel
-_leaf = partial(int.__new__, Leaf)
+        return f"Leaf({bin(self)})"
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -195,7 +182,7 @@ DEFAULT_BOUNDS = SizeBounds.from_w(64)
 
 def _leaf_of_text(text: bytes) -> Leaf:
     """The leaf spelled by '0'/'1' bytes, index 0 first."""
-    return _leaf(int(b"1" + text[::-1], 2))
+    return Leaf(int(b"1" + text[::-1], 2))
 
 
 def _leaf_text(leaf: Leaf) -> str:
@@ -205,12 +192,12 @@ def _leaf_text(leaf: Leaf) -> str:
 
 def _split(leaf: Leaf, k: int) -> tuple[Leaf, Leaf]:
     """The first k bits of a leaf and the rest."""
-    return _leaf(leaf & (1 << k) - 1 | 1 << k), _leaf(leaf >> k)
+    return Leaf(leaf & (1 << k) - 1 | 1 << k), Leaf(leaf >> k)
 
 
 def _join(a: Leaf, b: Leaf) -> Leaf:
     """a's bits, then b's: the -1 in b - 1 cancels a's sentinel."""
-    return _leaf(a + (b - 1 << a.bit_length() - 1))
+    return Leaf(a + (b - 1 << a.bit_length() - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +311,9 @@ def _measure(t: DTree, low: int, high: int) -> tuple[bool, int, int]:
     done: list[tuple[int, int]] = []  # (size, ones) of finished subtrees
     for x in reversed(_preorder(t)):
         if isinstance(x, Leaf):
-            ok = ok and x > 0 and low <= x.length < high
-            done.append((x.length, x.bit_count() - 1))
+            size = x.bit_length() - 1
+            ok = ok and x > 0 and low <= size < high
+            done.append((size, x.bit_count() - 1))
         else:
             (num, ones), (size_r, ones_r) = done.pop(), done.pop()
             ok = ok and x.num == num and x.ones == ones
@@ -425,7 +413,7 @@ def _dins(t: DTree, b: int, i: int, bounds: SizeBounds) -> DTree:
         if grown.bit_length() > bounds.high:
             left, right = _split(grown, (bounds.high + 1) // 2)
             return Node(RED, left, left.bit_length() - 1, left.bit_count() - 1, right)
-        return _leaf(grown)
+        return Leaf(grown)
     c = t.color
     if i < t.num:
         l, num, ones, r = _dins(t.left, b, i, bounds), t.num + 1, t.ones + b, t.right
@@ -454,7 +442,7 @@ def _dset(t: DTree, i: int, value: int) -> DTree:
     if isinstance(t, Leaf):
         if i < 0 or (x := t >> i) < 2:
             raise IndexError("bit index out of range")
-        return t if x & 1 == value else _leaf(t ^ 1 << i)
+        return t if x & 1 == value else Leaf(t ^ 1 << i)
     if i < t.num:
         left = _dset(t.left, i, value)
         return t if left is t.left else Node(t.color, left, t.num, t.ones + 2 * value - 1, t.right)
@@ -540,7 +528,7 @@ def _ddel(t: DTree, i: int, low: int) -> tuple[DTree, bool, int]:
     if isinstance(t, Leaf):
         if i < 0 or (x := t >> i) < 2:
             raise IndexError("delete position out of range")
-        return _leaf(t & (1 << i) - 1 | x >> 1 << i), t.bit_length() <= low + 1, x & 1
+        return Leaf(t & (1 << i) - 1 | x >> 1 << i), t.bit_length() <= low + 1, x & 1
     c, l, num, ones, r = t.color, t.left, t.num, t.ones, t.right
     if i < num:
         l, short, b = _ddel(l, i, low)

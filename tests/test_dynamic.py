@@ -605,7 +605,7 @@ class TestDumpFormat:
         assert time.perf_counter() - start < 1.0
 
     def test_leaf_text_is_index_order(self):
-        t = Node(BLACK, Leaf(0b110, 3), 3, 2, Leaf(0, 0))
+        t = Node(BLACK, Leaf(0b110 | 1 << 3), 3, 2, Leaf(1))
         assert dump(t) == '(Black num=3 ones=2\n  (leaf "011")\n  (leaf ""))'
         assert parse_dump(dump(t)) == t
         assert parse_dump('(leaf "01 1")') == Leaf.of([0, 1, 1])
@@ -793,13 +793,25 @@ def test_bulk_build_every_size(bounds, monkeypatch):
 
 def test_leaf_is_a_hashable_frozen_value():
     a = Leaf.of([1, 0, 1])
-    assert a == Leaf.of(b("101")) == Leaf(0b101, 3)
+    assert a == Leaf.of(b("101")) == Leaf(0b101 | 1 << 3)
     assert hash(a) == hash(Leaf.of(b("101")))
     assert Leaf.of([1, 0]) != Leaf.of([1, 0, 0])
     assert len({a, Leaf.of([1, 0, 1]), Leaf.of([])}) == 2
     assert hash(dbv_sample()) == hash(dbv_sample())
-    for copied in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+    # one constructor, int's own: pickle and copy take int's defaults too
+    assert "__new__" not in vars(Leaf) and "__reduce__" not in vars(Leaf)
+    for value in (a, Leaf.of([]), dbv_sample()):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copied = pickle.loads(pickle.dumps(value, protocol))
+            assert type(copied) is type(value) and copied == value, protocol
+    for copied in (copy.copy(a), copy.deepcopy(a)):
         assert type(copied) is Leaf and copied == a and hash(copied) == hash(a)
+    # the repr evaluates back to an equal leaf
+    rng = random.Random(29)
+    for n in (0, 1, 64, 65):
+        leaf = Leaf.of([rng.getrandbits(1) for _ in range(n)])
+        shown = eval(repr(leaf), {"Leaf": Leaf})
+        assert type(shown) is Leaf and shown == leaf and shown.length == n
     for name in ("word", "length", "bits"):
         with pytest.raises(AttributeError):
             setattr(a, name, 0)
@@ -809,20 +821,12 @@ def test_leaf_is_a_hashable_frozen_value():
     assert (a.word, a.length) == (0b101, 3)
 
 
-def test_leaf_rejects_stray_word_bits():
-    # under the sentinel, Leaf(0b1101, 3) would be the 3-bit leaf 0b101
-    for word, length in ((0b1101, 3), (-1, 3), (1, 0), (0, -1), (1 << 64, 64)):
-        with pytest.raises(ValueError):
-            Leaf(word, length)
-    assert Leaf(0, 0) == Leaf.of([]) and Leaf((1 << 64) - 1, 64) == Leaf.of([1] * 64)
-
-
 def test_wf_check_rejects_a_leaf_below_one():
     # an int below 1 spells no leaf; -(1 << low) would pass the window
     # and the counts, reading as a low-bit leaf of 0s
     full = Leaf.of([0] * BOUNDS.low)
     for value in (0, -1, -(1 << BOUNDS.low)):
-        bad = int.__new__(Leaf, value)
+        bad = Leaf(value)
         assert not wf_check(bad, BOUNDS)
         assert not wf_check(Node(BLACK, full, BOUNDS.low, 0, bad), BOUNDS)
     assert wf_check(Node(BLACK, full, BOUNDS.low, 0, full), BOUNDS)
@@ -847,7 +851,7 @@ def _retained_bytes(root):
 def test_space_is_one_int_per_leaf():
     # a leaf is its int plus the collector's header, and refers only to its class
     rng = random.Random(71)
-    leaf = Leaf(rng.getrandbits(5000), 5000)
+    leaf = Leaf(rng.getrandbits(5000) | 1 << 5000)
     assert sys.getsizeof(leaf) <= sys.getsizeof(int(leaf)) + 16
     assert gc.get_referents(leaf) == [Leaf]
     n = 10**5
@@ -1016,7 +1020,7 @@ SENTINEL_CASES = _sentinel_cases()
 def test_sentinel_leaf_queries_match_oracle(bits):
     leaf, n = Leaf.of(bits), len(bits)
     word = sum(bit << j for j, bit in enumerate(bits))
-    assert leaf == Leaf(word, n) and int(leaf) == word | 1 << n
+    assert leaf == Leaf(word | 1 << n) and int(leaf) == word | 1 << n
     assert (leaf.word, leaf.length, dsize(leaf), dflatten(leaf)) == (word, n, n, bits)
     assert parse_dump(dump(leaf)) == leaf
     for i in sorted({0, 1, n - 1, n, n + 1} - {-1}):

@@ -1,7 +1,8 @@
 """Static checks on the library's source: every name a module imports is
-used in it, and every private module-level name is read somewhere in the
-package, so an import or helper left behind by a deletion fails here; and
-no dataclass is both frozen and ``slots=True``."""
+used in it, every private module-level name is read somewhere in the
+package, and a module's ``__all__`` lists exactly its public names, so an
+import, helper or export left behind by a deletion fails here; and no
+dataclass is both frozen and ``slots=True``."""
 
 import ast
 from pathlib import Path
@@ -118,3 +119,33 @@ def test_a_frozen_slots_dataclass_is_found():
               "@dataclasses.dataclass(frozen=True, slots=True)\nclass C: pass\n"
               "@dataclass(frozen=True, slots=False)\nclass D:\n    __slots__ = ()\n")
     assert frozen_slots_dataclasses(source) == ["line 4: B", "line 6: C"]
+
+
+def all_mismatches(source: str) -> list[str]:
+    """For a module that assigns ``__all__``: the entries naming nothing
+    the module defines or imports at top level, then the public top-level
+    defs, classes and assignments the list leaves out."""
+    listed, imported, public = None, set(), []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in stmt.names}
+        elif "__all__" in (own := defined_names(stmt)):
+            listed = ast.literal_eval(stmt.value)
+        else:
+            public += [name for name in own if not name.startswith("_")]
+    if listed is None:
+        return []
+    return ([f"stale: {name}" for name in listed if name not in imported | {*public}]
+            + [f"unlisted: {name}" for name in public if name not in listed])
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_all_lists_exactly_the_public_names(path):
+    assert all_mismatches(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_all_mismatch_is_found():
+    source = ("from os import path\nimport re as regex\n__all__ = ['path', 'regex', 'Gone', 'f']\n"
+              "def f(): pass\nclass C: pass\nX, _y = 1, 2\n_Z: int = 3\n__version__ = '1'\n")
+    assert all_mismatches(source) == ["stale: Gone", "unlisted: C", "unlisted: X"]
+    assert all_mismatches("def f(): pass\n") == []

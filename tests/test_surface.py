@@ -33,7 +33,8 @@ BENCHMARK_LOOKUPS = {
     louds: ["parse_tree"],
     louds.Louds: ["encode", "children", "child", "parent", "bits"],
     dynamic: ["from_bits", "parse_dump", "Node", "Leaf", "RED"],
-    dynamic.Leaf: ["word", "length", "of"],
+    dynamic.Leaf: ["word", "length"],
+    dynamic.Node: ["color", "left", "num", "ones", "right"],
     dynamic.DynamicBitVector: ["insert", "delete", "set", "clear", "rank", "select0", "select1",
                                "access", "to_bits"],
     cli: ["main", "parse_script", "parse_dump", "dump"],
@@ -70,8 +71,8 @@ def test_the_formulations_live_in_spec_only():
 
 
 def test_node_leaf_and_tree_are_frozen_slotted_values():
-    leaf = dynamic.Leaf(0b101, 3)
-    node = dynamic.Node(dynamic.BLACK, leaf, 3, 2, dynamic.Leaf(0b1, 2))
+    leaf = dynamic.Leaf(0b101 | 1 << 3)
+    node = dynamic.Node(dynamic.BLACK, leaf, 3, 2, dynamic.Leaf(0b1 | 1 << 2))
     tree = louds.Tree("a", [louds.Tree("b"), louds.Tree()])
     for value in (leaf, node, tree):
         for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
