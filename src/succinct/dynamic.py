@@ -246,45 +246,56 @@ def drank(t: DTree, i: int) -> int:
     return acc + t.bit_count() - 1
 
 
-def _word_select(word: int, i: int) -> int:
-    """1-based position of the i-th 1 below the sentinel 1 of a ``dynamic``
-    leaf, with select's conventions: 0 for i == 0, and the sentinel's,
-    length + 1, when fewer than i 1s lie below it.  The halving spans the
-    sentinel too, or a step could keep a half wider than its width."""
+_WINDOW = 256  # the bits where a leaf's select looks first
+_WINDOW_MASK = (1 << _WINDOW) - 1
+_WINDOW_STEPS = _halves(_WINDOW.bit_length() - 1)
+
+
+def _dselect(t: DTree, i: int, b: int) -> int:
+    """1-based position of the i-th b-bit, with select's conventions.
+
+    The leaf's count of b-bits, known below the descent's first left
+    turn and counted otherwise, puts the i-th near the middle of a
+    window starting at p.  One shift and count tell the b-bits below p;
+    ``_halve`` searches the window, or else the whole leaf, sentinel
+    included, or a step could keep a half wider than its width."""
     if i < 0:
         raise ValueError("occurrence ordinal must be non-negative")
+    acc, count = 0, None  # t's b-bits, once known
+    while isinstance(t, Node):
+        left = t.ones if b else t.num - t.ones
+        if i <= left:
+            t, count = t.left, left
+        else:
+            acc, i, t = acc + t.num, i - left, t.right
+            if count is not None:
+                count -= left
     if i == 0:
         return 0
-    if i >= word.bit_count():
-        return word.bit_length()
-    return _halve(word, i, _halves((word.bit_length() - 1).bit_length())) + 1
+    n = t.bit_length() - 1
+    if count is None:
+        count = t.bit_count() - 1 if b else n + 1 - t.bit_count()
+        if i > count:
+            return acc + n + 1
+    p = max(0, i * n // count - _WINDOW // 2)
+    high = t >> p
+    ones = high.bit_count() - 1
+    r = i - count + (ones if b else n - p - ones)  # i less the b-bits below p
+    window = (high if b else ~high) & _WINDOW_MASK  # ~high's 1s past the sentinel follow the r-th
+    if 0 < r <= window.bit_count():
+        return acc + p + _halve(window, r, _WINDOW_STEPS) + 1
+    word = t if b else t ^ (1 << n) - 1
+    return acc + _halve(word, i, _halves(n.bit_length())) + 1
 
 
 def dselect1(t: DTree, i: int) -> int:
     """1-based position of the i-th 1-bit, with select's conventions."""
-    acc = 0
-    while isinstance(t, Node):
-        if i <= t.ones:
-            t = t.left
-        else:
-            acc += t.num
-            i -= t.ones
-            t = t.right
-    return acc + _word_select(t, i)
+    return _dselect(t, i, 1)
 
 
 def dselect0(t: DTree, i: int) -> int:
     """1-based position of the i-th 0-bit, with select's conventions."""
-    acc = 0
-    while isinstance(t, Node):
-        zeros = t.num - t.ones
-        if i <= zeros:
-            t = t.left
-        else:
-            acc += t.num
-            i -= zeros
-            t = t.right
-    return acc + _word_select(t ^ (1 << t.bit_length() - 1) - 1, i)
+    return _dselect(t, i, 0)
 
 
 def daccess(t: DTree, i: int) -> int:

@@ -129,6 +129,27 @@ class TestFlattenAndQueries:
             with pytest.raises(ValueError):
                 dselect(t, -1)
 
+    @pytest.mark.parametrize("shape", ["random", "blocks", "sparse"])
+    def test_dselect_every_ordinal_at_default_bounds(self, shape):
+        """A leaf's select looks first in a window where the mean spacing
+        of its bits puts the i-th: random bits land in it; 2048-bit
+        blocks of 0s and 1s fall both before and after it, as do sparse
+        1s.  The last leaf lies on the right spine, where the count is
+        taken from the leaf itself."""
+        rng = random.Random(shape)
+        n = 3 * DEFAULT_BOUNDS.high
+        if shape == "random":
+            flat = [rng.getrandbits(1) for _ in range(n)]
+        elif shape == "sparse":
+            flat = [int(rng.random() < 0.02) for _ in range(n)]
+        else:
+            flat = [j // 2048 & 1 for j in range(n)]
+        t = from_bits(flat, DEFAULT_BOUNDS)
+        assert isinstance(t, Node)
+        for b, dselect in ((0, dselect0), (1, dselect1)):
+            where = [j + 1 for j, x in enumerate(flat) if x == b]
+            assert [dselect(t, k) for k in range(len(where) + 3)] == [0, *where, n + 1, n + 1]
+
 
 class TestWellFormedness:
     def test_sample_is_strictly_wf(self):
