@@ -79,3 +79,15 @@ def reference_text_bits(text: str) -> bytes:
     if bad:
         raise ValueError(f"invalid bit character {bad[0]!r} at offset {bad.start()}")
     return "".join(text.split()).encode()
+
+
+def reference_ascii_bits(bits) -> bytes:
+    """The '0'/'1' bytes of a bit sequence as ``bitvec._ascii_bits`` read
+    them when it converted with ``bytes(bits)``: a bare int raises
+    TypeError, an item other than 0 or 1 ValueError."""
+    if isinstance(bits, int):
+        raise TypeError(f"bits must be a sequence of 0/1 values, not the int {bits!r}")
+    raw = bytes(bits)
+    if raw.translate(None, b"\x00\x01"):
+        raise ValueError("bits must be 0 or 1")
+    return raw.translate(bytes.maketrans(b"\x00\x01", b"01"))

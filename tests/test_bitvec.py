@@ -3,13 +3,15 @@ import itertools
 import operator
 import pickle
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from samples import BITS58, LOUDS21, reference_text_bits
-from succinct import BitVector, Louds, format_bits, parse_bits
+from samples import BITS58, LOUDS21, reference_ascii_bits, reference_text_bits
+from succinct import BitVector, DynamicBitVector, Louds, SizeBounds, format_bits, parse_bits
 from succinct.bitvec import _text_bits
+from succinct.dynamic import Leaf, dflatten, from_bits
 from succinct.oracle import oracle_count, oracle_pred, oracle_rank, oracle_select, oracle_succ
 from succinct.verify import random_tree
 
@@ -298,7 +300,7 @@ class TestBitVector:
 
     @pytest.mark.parametrize("n", [0, 3, 5, True])
     def test_rejects_an_int(self, n):
-        # bytes(n) would read an int as n 0 bytes
+        # bytearray(n) would read an int as n 0 bytes
         with pytest.raises(TypeError):
             BitVector(n)
 
@@ -485,3 +487,58 @@ class TestAsciiFormat:
     )
     def test_text_bits_match_the_reference_on_long_text(self, text):
         assert outcome(_text_bits, text) == outcome(reference_text_bits, text)
+
+
+# bit inputs, each made afresh for every read (a generator is spent once
+# read), and the exception each raises, or None for one that holds bits
+BULK_INPUTS = {
+    "int-list": (lambda: [1, 0, 1, 1, 0], None),
+    "bool-list": (lambda: [True, False, True], None),
+    "tuple": (lambda: (0, 1, 1), None),
+    "range": (lambda: range(2), None),
+    "generator": (lambda: (b for b in [1, 0, 0, 1]), None),
+    "bytes": (lambda: b"\1\0\1", None),
+    "bytearray": (lambda: bytearray(b"\0\1"), None),
+    "memoryview": (lambda: memoryview(b"\1\1\0"), None),
+    "array": (lambda: array("B", [1, 0, 1]), None),
+    "long-list": (lambda: random.Random(25).choices([0, 1], k=5000), None),
+    "empty-list": (lambda: [], None),
+    "empty-bytes": (lambda: b"", None),
+    "empty-generator": (lambda: iter(()), None),
+    "int": (lambda: 3, TypeError),
+    "bool": (lambda: True, TypeError),
+    "str": (lambda: "101", TypeError),
+    "item-2": (lambda: [1, 2], ValueError),
+    "item-minus-1": (lambda: [0, -1], ValueError),
+    "item-256": (lambda: [1, 256], ValueError),
+    "item-float": (lambda: [1.0], TypeError),
+    "item-str": (lambda: ["1"], TypeError),
+    "item-none": (lambda: [None], TypeError),
+}
+# every bulk entry point, each giving the bits it read as a list
+BULK_READERS = {
+    "BitVector": lambda bits: list(BitVector(bits)),
+    "format_bits": lambda bits: parse_bits(format_bits(bits)),
+    "Leaf.of": lambda bits: dflatten(Leaf.of(bits)),
+    "from_bits": lambda bits: dflatten(from_bits(bits, SizeBounds(2, 4))),
+    "DynamicBitVector": lambda bits: DynamicBitVector(bits).to_bits(),
+}
+
+
+def bulk_outcome(read, make):
+    """The bits read takes from a fresh input, or the type it raises."""
+    try:
+        return read(make())
+    except (TypeError, ValueError) as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("reader", BULK_READERS)
+@pytest.mark.parametrize("name", BULK_INPUTS)
+def test_bulk_entry_points_read_bits_as_bytes_did(name, reader):
+    # the reference converts with bytes(bits): the entry points must accept
+    # and refuse the same inputs, though a refused item's message may differ
+    make, error = BULK_INPUTS[name]
+    want = bulk_outcome(lambda bits: parse_bits(reference_ascii_bits(bits).decode()), make)
+    assert want is error if error else isinstance(want, list)
+    assert bulk_outcome(BULK_READERS[reader], make) == want
