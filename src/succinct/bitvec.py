@@ -75,7 +75,7 @@ def format_bits(bits: BitSeq) -> str:
 def _ascii_bits(bits: BitSeq) -> bytearray:
     """The ASCII '0'/'1' spelling of bits, not of an int; an item other
     than 0 or 1 raises.  CPython's ``bytearray`` reads a list's exact ints
-    directly, not through ``__index__`` as ``bytes`` does: 0.72 vs 1.09 ms at 10^5."""
+    directly, not through ``__index__`` as ``bytes`` does: 0.72 vs 1.09 ms at 10^5 bits."""
     if isinstance(bits, int):
         raise TypeError(f"bits must be a sequence of 0/1 values, not the int {bits!r}")
     raw = bytearray(bits)
