@@ -307,8 +307,9 @@ class TestBitVector:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             BitVector([1, 0, 2])
-        with pytest.raises(IndexError):
-            BitVector([1, 0])[2]
+        for i in (2, -1, -2):  # -1 would read a padding bit of the last word
+            with pytest.raises(IndexError):
+                BitVector([1, 0])[i]
         with pytest.raises(ValueError):
             BitVector([1]).select(1, -1)
 

@@ -726,6 +726,68 @@ def test_update_sequences_preserve_all_invariants(ops):
 
 
 # ---------------------------------------------------------------------------
+# persistence: every update builds a new tree and leaves the old one as it was
+
+PERSISTENT_BOUNDS = [SizeBounds(1, 2), SizeBounds(3, 8), SizeBounds(8, 32)]
+
+
+@st.composite
+def write_scripts(draw):
+    """Starting bits and a script of (op, index, bit) writes, each valid
+    on the bits the ones before it leave; set and clear ignore the bit."""
+    bits = draw(st.lists(st.integers(0, 1), max_size=60))
+    rng = random.Random(draw(st.integers(0, 2**30)))
+    ops, size = [], len(bits)
+    for _ in range(draw(st.integers(0, 60))):
+        op = rng.choice(("insert", "delete", "set", "clear")) if size else "insert"
+        i = rng.randint(0, size) if op == "insert" else rng.randrange(size)
+        ops.append((op, i, rng.randint(0, 1)))
+        size += {"insert": 1, "delete": -1}.get(op, 0)
+    return bits, ops
+
+
+@pytest.mark.parametrize("bounds", PERSISTENT_BOUNDS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(write_scripts())
+def test_every_version_outlives_the_writes_after_it(bounds, script):
+    bits, ops = script
+    versions = [(from_bits(bits, bounds), bits)]
+    for op, i, bit in ops:
+        t, flat = versions[-1]
+        if op == "insert":
+            versions.append((dinsert(t, bit, i, bounds), insert1(flat, bit, i)))
+        elif op == "delete":
+            versions.append((ddelete(t, i, bounds), delete_at(flat, i)))
+        elif op == "set":
+            versions.append((dset(t, i), update_at(flat, i, 1)))
+        else:
+            versions.append((dclear(t, i), update_at(flat, i, 0)))
+    for t, flat in versions:
+        check_state(t, flat, bounds)
+
+
+COPIED_BITS = [1, 0, 0, 1] * 20
+
+
+@pytest.mark.parametrize(
+    "op, args, after",
+    [
+        ("insert", (5, 1), insert1(COPIED_BITS, 1, 5)),
+        ("delete", (5,), delete_at(COPIED_BITS, 5)),
+        ("set", (2,), update_at(COPIED_BITS, 2, 1)),
+        ("clear", (0,), update_at(COPIED_BITS, 0, 0)),
+    ],
+)
+def test_a_copied_vector_is_independent_under_each_write(op, args, after):
+    vec = DynamicBitVector(COPIED_BITS, SizeBounds(3, 8))
+    for writer in ("copy", "original"):
+        twin = copy.copy(vec)
+        written, kept = (twin, vec) if writer == "copy" else (vec, twin)
+        getattr(written, op)(*args)
+        assert written.to_bits() == after and kept.to_bits() == COPIED_BITS
+
+
+# ---------------------------------------------------------------------------
 # packed leaves and the bulk build, against the oracle
 
 EDGE_BOUNDS = SizeBounds(40, 130)

@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import pickle
 import random
@@ -19,7 +20,7 @@ from succinct import (
     parse_tree,
     with_super_root,
 )
-from succinct.louds import _TREE_TOKEN, _tree_tokens, height, number_of_nodes
+from succinct.louds import _TREE_TOKEN, _tree_of_shape, _tree_tokens, height, number_of_nodes
 from succinct.oracle import bfs_queue, oracle_select
 from succinct.spec import (
     children,
@@ -472,6 +473,58 @@ class TestTreeText:
         with pytest.raises(TreeParseError) as err:
             parse_tree(text)
         assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.fixture(scope="module")
+def text_of_1e5_nodes():
+    return format_tree(random_tree(random.Random(26), 10**5))
+
+
+def _collections_during(build, arg):
+    """build(arg) and the collections that started while it ran, with the
+    collector enabled and emptied just before, so that no collection is
+    due on entry."""
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(hook)
+    try:
+        built = build(arg)
+    finally:
+        gc.callbacks.remove(hook)
+    return built, starts
+
+
+class TestCollectorPause:
+    def test_builds_start_no_collection(self, text_of_1e5_nodes):
+        # left running, the collector would start a pass every 700 new containers
+        assert gc.isenabled()
+        tree, starts = _collections_during(parse_tree, text_of_1e5_nodes)
+        assert starts == [] and number_of_nodes(tree) == 10**5
+        # called directly: pickle.loads builds the shape's tuples before the call
+        rebuilt, starts = _collections_during(_tree_of_shape, tree._shape())
+        assert starts == [] and rebuilt == tree
+
+    @pytest.mark.parametrize(
+        "build, good, bad",
+        [(parse_tree, "(a (b))", "(a (b)"), (_tree_of_shape, (("a", 1), ("b", 0)), (("a",),))],
+        ids=["parse_tree", "_tree_of_shape"],
+    )
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_builds_leave_the_collector_as_found(self, build, good, bad, enabled):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert build(good) == Tree("a", [Tree("b")])
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValueError):
+                build(bad)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
 
 
 _REFERENCE_TOKEN = re.compile(r"[()]|[^\s()]+")

@@ -1,8 +1,9 @@
 """Static checks on the library's source: every name a module imports is
 used in it, every private module-level name is read somewhere in the
 package, and a module's ``__all__`` lists exactly its public names, so an
-import, helper or export left behind by a deletion fails here; and no
-dataclass is both frozen and ``slots=True``."""
+import, helper or export left behind by a deletion fails here; no
+dataclass is both frozen and ``slots=True``; and only one decorator
+switches the cyclic collector off and on."""
 
 import ast
 from pathlib import Path
@@ -149,3 +150,43 @@ def test_an_all_mismatch_is_found():
               "def f(): pass\nclass C: pass\nX, _y = 1, 2\n_Z: int = 3\n__version__ = '1'\n")
     assert all_mismatches(source) == ["stale: Gone", "unlisted: C", "unlisted: X"]
     assert all_mismatches("def f(): pass\n") == []
+
+
+GC_SWITCHES = {"disable", "enable"}
+
+
+def gc_switch_sites(source: str) -> list[str]:
+    """Each place source names ``gc.disable`` or ``gc.enable``, through
+    ``gc`` or an alias of it or by ``from gc import``, as the top-level
+    def or class holding it ("module" outside any) and the line."""
+    tree = ast.parse(source)
+    gc_names = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names if alias.name == "gc"}
+    sites = []
+    for stmt in tree.body:
+        holder = getattr(stmt, "name", "module")
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in gc_names:
+                names = [node.attr]
+            else:
+                continue
+            sites += [f"{holder} line {node.lineno}" for name in names if name in GC_SWITCHES]
+    return sites
+
+
+def test_only_one_decorator_switches_the_collector():
+    # the policy of pausing the collector lives in one place: louds._gc_paused
+    holders = {f"{path.stem}.{site.split()[0]}"
+               for path in MODULES for site in gc_switch_sites(path.read_text(encoding="utf-8"))}
+    assert holders == {"louds._gc_paused"}
+
+
+def test_a_stray_gc_switch_is_found():
+    source = ("import gc\nimport gc as collector\nfrom gc import disable, collect\n"
+              "def paused(f):\n    def run():\n        gc.disable()\n        gc.enable()\n    return run\n"
+              "def build():\n    collector.enable()\n    gc.collect()\n    gc.isenabled()\n"
+              "class C:\n    switch = gc.disable\n")
+    assert gc_switch_sites(source) == [
+        "module line 3", "paused line 6", "paused line 7", "build line 10", "C line 14"]
