@@ -143,26 +143,14 @@ class BitVector:
     in the word holding their index first.  For ``b`` in (0, 1), bools
     included, all answer as the module docstring defines; any other
     ``b`` raises ``ValueError``.  Words and directory take 80 bytes per
-    block, plus 16 for the counts past the end.
+    block, plus 16 for the counts past the end.  ``_of_int`` builds them.
     """
 
     __slots__ = ("_len", "_words", "_dir", "_packed")
 
-    def __init__(self, bits: BitSeq):
+    def __new__(cls, bits: BitSeq):
         text = _ascii_bits(bits)
-        n = len(text)
-        # one int's bytes in the host's order, which on a big-endian host puts the last word first
-        words = int(text[::-1] or b"0", 2).to_bytes(-(-n // 512) << 6, sys.byteorder)
-        words = memoryview(words).cast("Q")[:: 1 if sys.byteorder == "little" else -1]
-        counts = list(map(int.bit_count, words))
-        ones = list(accumulate(counts, initial=0))[::8]
-        zeros = list(map(sub, range(0, n, 512), ones)) + [n - ones[-1]]
-        # per block, word s's count added into fields s..6; the empty block past the end gives 0
-        packed = [sum(map(mul, counts[k : k + 7], _AFTER)) for k in range(0, len(counts) + 1, 8)]
-        object.__setattr__(self, "_len", n)
-        object.__setattr__(self, "_words", words)
-        object.__setattr__(self, "_dir", _frozen("I" if n < 1 << 32 else "Q", ones + zeros))
-        object.__setattr__(self, "_packed", _frozen("Q", packed))
+        return _of_int(len(text), int(text[::-1] or b"0", 2))
 
     def __setattr__(self, name, value):
         raise AttributeError("BitVector is immutable")
@@ -178,7 +166,8 @@ class BitVector:
         return (self._words[i >> 6] >> (i & 63)) & 1
 
     def __iter__(self):
-        return iter(_int_bits(self._len, int.from_bytes(self._words.obj, sys.byteorder)))
+        x = int.from_bytes(self._words.obj, sys.byteorder)
+        return iter(format(x, f"0{self._len}b")[::-1][: self._len].encode().translate(_FROM_ASCII))
 
     def __eq__(self, other):
         return (self._len == other._len and self._words == other._words
@@ -190,9 +179,10 @@ class BitVector:
     def __repr__(self):
         return f"BitVector(parse_bits({format_bits(self)!r}))"
 
-    def __reduce__(self):
-        # copy and pickle rebuild from the length and the bits as one int: memoryviews do not pickle
-        return _from_int, (self._len, int.from_bytes(self._words.obj, sys.byteorder))
+    def __reduce_ex__(self, protocol):
+        # memoryviews do not pickle; protocols 0 and 1 write ints in decimal, capped at 4300 digits
+        x = int.from_bytes(self._words.obj, sys.byteorder)
+        return _of_int, (self._len, x if protocol > 1 else x.to_bytes(-(-self._len // 8), "little"))
 
     def rank(self, b: Bit, i: int) -> int:
         """Number of positions j < i holding b; i saturates at len."""
@@ -265,13 +255,22 @@ class BitVector:
         return self.select(b, self.rank(b, y))
 
 
-def _int_bits(n: int, x: int) -> bytes:
-    """Bits 0..n-1 of the int x >= 0 as 0/1 bytes, bit 0 first."""
-    return format(x, f"0{n}b")[::-1][:n].encode().translate(_FROM_ASCII)
-
-
-def _from_int(n: int, x: int) -> BitVector:
-    """The n-bit vector whose bit j is bit j of x, checked to be in 0 .. 2**n - 1."""
+def _of_int(n: int, x: int | bytes) -> BitVector:
+    """The one builder: the n-bit vector whose bit j is bit j of x, in 0 .. 2**n - 1."""
+    x = int.from_bytes(x, "little") if isinstance(x, bytes) else x  # from pickle protocol 0 or 1
     if x >> n:  # nonzero for a negative x as well
         raise ValueError(f"{x} is not an {n}-bit value")
-    return BitVector(_int_bits(n, x))
+    # one int's bytes in the host's order, which on a big-endian host puts the last word first
+    words = x.to_bytes(-(-n // 512) << 6, sys.byteorder)
+    words = memoryview(words).cast("Q")[:: 1 if sys.byteorder == "little" else -1]
+    counts = list(map(int.bit_count, words))
+    ones = list(accumulate(counts, initial=0))[::8]
+    zeros = list(map(sub, range(0, n, 512), ones)) + [n - ones[-1]]
+    # per block, word s's count added into fields s..6; the empty block past the end gives 0
+    packed = [sum(map(mul, counts[k : k + 7], _AFTER)) for k in range(0, len(counts) + 1, 8)]
+    vector = object.__new__(BitVector)
+    object.__setattr__(vector, "_len", n)
+    object.__setattr__(vector, "_words", words)
+    object.__setattr__(vector, "_dir", _frozen("I" if n < 1 << 32 else "Q", ones + zeros))
+    object.__setattr__(vector, "_packed", _frozen("Q", packed))
+    return vector

@@ -12,7 +12,7 @@ from __future__ import annotations
 from random import Random
 
 from .dynamic import DTree, DynamicBitVector, SizeBounds, dflatten, redblack_check, wf_check
-from .louds import Louds, Tree, height, louds_encode, number_of_nodes
+from .louds import Louds, Tree, _tree_of_shape, height, louds_encode, number_of_nodes
 from .oracle import bfs_queue, delete_at, insert1, oracle_rank, oracle_select, update_at
 from .spec import lo_traversal, lo_traversal_lt, lo_traversal_st, node_description
 
@@ -41,10 +41,10 @@ def random_tree(rng: Random, n: int) -> Tree:
     kids: list[list[int]] = [[] for _ in range(n)]
     for node in range(1, n):
         kids[rng.randrange(node)].append(node)
-    built: list[Tree | None] = [None] * n
-    for node in range(n - 1, -1, -1):
-        built[node] = Tree(node, (built[c] for c in kids[node]))
-    return built[0]
+    order = [0]
+    for node in order:  # the loop walks the level order while it grows
+        order += kids[node]
+    return _tree_of_shape(tuple((node, len(kids[node])) for node in order))
 
 
 def random_path(rng: Random, t: Tree) -> list[int]:

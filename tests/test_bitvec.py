@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from samples import BITS58, LOUDS21, reference_ascii_bits, reference_text_bits
 from succinct import BitVector, DynamicBitVector, Louds, SizeBounds, format_bits, parse_bits
-from succinct.bitvec import _text_bits
+from succinct import bitvec
+from succinct.bitvec import _of_int, _text_bits
 from succinct.dynamic import Leaf, dflatten, from_bits
 from succinct.oracle import oracle_count, oracle_pred, oracle_rank, oracle_select, oracle_succ
 from succinct.verify import random_tree
@@ -277,19 +278,51 @@ class TestBitVector:
             value = Louds.encode(random_tree(rng, 3000))
         else:
             value = BitVector([rng.randint(0, 1) for _ in range(n)])
-        for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        pickled = [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for copied in (copy.copy(value), copy.deepcopy(value), *pickled):
             assert type(copied) is type(value)
             assert copied == value and hash(copied) == hash(value)
         # about one bit per bit: under 130,000 bytes for 10**6 bits
         assert len(pickle.dumps(value)) < len(value) // 8 + 5000
 
+    def test_copy_and_pickle_make_no_bit_text(self, monkeypatch):
+        # they rebuild from the length and the int, never from 0/1 text
+        values = [BitVector([1, 0, 1] * 300), Louds.encode(random_tree(random.Random(5), 500))]
+
+        def refuse(bits):
+            raise AssertionError("a copy spelled its bits as text")
+
+        monkeypatch.setattr(bitvec, "_ascii_bits", refuse)
+        for value in values:
+            copies = copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
+            assert all(copied == value for copied in copies)
+
     @pytest.mark.parametrize("x", [8, 9, -1])
     def test_unpickling_rejects_bits_past_the_length(self, x):
         # the pickled int of a 3-bit vector is below 2**3
-        rebuild, (n, _) = BitVector([1, 0, 1]).__reduce__()
+        rebuild, (n, _) = BitVector([1, 0, 1]).__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+        assert rebuild is _of_int
         assert rebuild(n, 5) == BitVector([1, 0, 1])
         with pytest.raises(ValueError):
             rebuild(n, x)
+        # protocols 0 and 1 pass the int's bytes, little-endian, checked alike
+        assert BitVector([1, 0, 1]).__reduce_ex__(0) == (_of_int, (3, b"\x05"))
+        with pytest.raises(ValueError):
+            rebuild(n, x.to_bytes(2, "little", signed=True))
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, 63, 64, 65, 511, 512, 513, *random.Random(28).sample(range(2000), 8)]
+    )
+    def test_the_one_builder_equals_the_constructor(self, n):
+        rng = random.Random(n)
+        for x in (0, (1 << n) - 1, rng.getrandbits(n)):
+            built = _of_int(n, x)
+            assert built == BitVector([x >> j & 1 for j in range(n)])
+            assert len(built) == n and list(built) == [x >> j & 1 for j in range(n)]
+            assert built.rank(1, n) == x.bit_count()
+        for bad in (1 << n, (1 << n) + x, -1, -(1 << n)):
+            with pytest.raises(ValueError):
+                _of_int(n, bad)
 
     def test_is_immutable(self):
         index = BitVector([1, 0])

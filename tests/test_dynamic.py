@@ -47,7 +47,7 @@ from succinct.dynamic import (
     wf_check,
 )
 import succinct.dynamic as dynamic_mod
-from succinct.dynamic import _ddel, _dins, _fix_left_short, _fix_right_short, _measure
+from succinct.dynamic import _ddel, _dins, _fix_left_short, _fix_right_short, _measure, _preorder
 from succinct.oracle import delete_at, insert1, oracle_rank, oracle_select, update_at
 
 BOUNDS = SizeBounds(8, 32)
@@ -785,6 +785,97 @@ def test_a_copied_vector_is_independent_under_each_write(op, args, after):
         written, kept = (twin, vec) if writer == "copy" else (vec, twin)
         getattr(written, op)(*args)
         assert written.to_bits() == after and kept.to_bits() == COPIED_BITS
+
+
+# ---------------------------------------------------------------------------
+# node counts: what an update builds, counted by identity
+
+
+def new_nodes(old, new):
+    """The number of nodes and leaves of new that old does not hold, by identity."""
+    held = {id(x) for x in _preorder(old)}
+    return sum(id(x) not in held for x in _preorder(new))
+
+
+def path_length(t, i):
+    """The internal nodes an update at index i steers through."""
+    length = 0
+    while isinstance(t, Node):
+        t, i, length = (t.left, i, length + 1) if i < t.num else (t.right, i - t.num, length + 1)
+    return length
+
+
+def counted_writes(bounds, seed, steps=3000):
+    """(op, old tree, index, new tree) for a random script of writes on
+    random bits, growing and shrinking in turns of 250 writes, so that
+    leaves fill up to a split and drain down to a merge."""
+    rng = random.Random(seed)
+    bits = [rng.randint(0, 1) for _ in range(rng.randint(0, 200))]
+    t, size = from_bits(bits, bounds), len(bits)
+    for step in range(steps):
+        more = "insert" if step // 250 % 2 == 0 else "delete"
+        op = rng.choice(("insert", "delete", "set", "clear", more)) if size else "insert"
+        i = rng.randint(0, size) if op == "insert" else rng.randrange(size)
+        if op == "insert":
+            new = dinsert(t, rng.randint(0, 1), i, bounds)
+        elif op == "delete":
+            new = ddelete(t, i, bounds)
+        else:
+            new = (dset if op == "set" else dclear)(t, i)
+        yield op, t, i, new
+        t, size = new, size + {"insert": 1, "delete": -1}.get(op, 0)
+
+
+def test_new_nodes_counts_by_identity():
+    bounds = SizeBounds(3, 8)
+    t = from_bits([1, 0] * 20, bounds)
+    assert new_nodes(t, t) == 0
+    assert new_nodes(t, from_bits([1, 0] * 20, bounds)) == len(_preorder(t))
+    assert new_nodes(Leaf(0b101), Leaf(0b101)) == 1  # equal, yet a leaf of its own
+
+
+@pytest.mark.parametrize("bounds", PERSISTENT_BOUNDS, ids=str)
+def test_a_flip_builds_its_search_path_and_one_leaf(bounds):
+    """``_dset`` rebuilds each node it steers through and the leaf, and
+    returns its input when the bit already holds the value."""
+    for seed in range(2):
+        for op, old, i, new in counted_writes(bounds, seed):
+            if op in ("set", "clear"):
+                expected = 0 if new is old else path_length(old, i) + 1
+                assert new_nodes(old, new) == expected, (op, i)
+
+
+@pytest.mark.parametrize("bounds", PERSISTENT_BOUNDS, ids=str)
+def test_an_insert_or_delete_builds_at_most_a_bound_in_its_path(bounds):
+    """An insert builds at most d + 3 nodes and leaves, and a delete at
+    most 2 d + 3, where d is the length of its search path.
+
+    Insert: the leaf becomes one leaf, or on a split a red node over two
+    leaves (3).  Each of the d nodes above is rebuilt as one node (+1),
+    or a black one lifts a red grandchild: ``_lift_*`` builds 3 nodes in
+    place of the node, its red child and the red grandchild, and the two
+    red ones were built below, since the old tree had no red-red pair
+    (+1 again).  Repainting the root replaces the new root (+0).
+
+    Delete: the leaf loses its bit (1).  Above a subtree that is not
+    short, each node is rebuilt once (+1).  Above a short one, the
+    ``_fix_*_short`` repair builds: a borrow, a node over the joined
+    leaf and the lender's rest in place of the short leaf (+2); a merge,
+    one leaf in its place (+0); a black sibling's lift, 3 nodes (+3), or
+    its repaint, the node and the red sibling (+2); a red sibling, one
+    node over one of the repairs before (at most +4).  Only a merge or a
+    repaint under a black node leaves the result short, so at most one
+    level, the one that ends the shortfall, adds more than 2."""
+    worst = {"insert": 0, "delete": 0}
+    for seed in range(2):
+        for op, old, i, new in counted_writes(bounds, seed):
+            if op in worst:
+                d = path_length(old, i)
+                built = new_nodes(old, new)
+                assert built <= (d + 3 if op == "insert" else 2 * d + 3), (op, i, d, built)
+                worst[op] = max(worst[op], built - d)
+    # the sweep reaches a split, and a repair that builds more than a borrow's
+    assert worst["insert"] == 3 and worst["delete"] >= 3
 
 
 # ---------------------------------------------------------------------------

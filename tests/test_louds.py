@@ -5,6 +5,7 @@ import pickle
 import random
 import re
 import time
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +50,25 @@ def _shape_to_tree(shape) -> Tree:
         return Tree(next(counter), tuple(build(c) for c in s))
 
     return build(shape)
+
+
+@cache
+def every_forest(n: int) -> tuple[tuple, ...]:
+    """Every ordered forest of n nodes in all, each a tuple of tree
+    shapes, where a tree's shape is the tuple of its children's shapes."""
+    if n == 0:
+        return ((),)
+    return tuple(
+        (first, *rest)
+        for k in range(1, n + 1)
+        for first in every_forest(k - 1)
+        for rest in every_forest(n - k)
+    )
+
+
+def every_tree(n: int) -> list[Tree]:
+    """Every ordered tree of n nodes, Catalan(n - 1) of them, labelled in preorder."""
+    return [_shape_to_tree(shape) for shape in every_forest(n - 1)]
 
 
 def _chain(n: int) -> Tree:
@@ -360,21 +380,8 @@ class TestCheckedLayer:
 
     def test_accepts_exactly_the_encodings_of_trees(self):
         # every bit string of up to 13 bits against the encodings of every
-        # ordered tree of up to 7 nodes, Catalan(n - 1) trees of n nodes
-        def trees(n):
-            return [Tree(None, kids) for kids in forests(n - 1)]
-
-        def forests(n):
-            if n == 0:
-                return [()]
-            return [
-                (first, *rest)
-                for k in range(1, n + 1)
-                for first in trees(k)
-                for rest in forests(n - k)
-            ]
-
-        encodings = {tuple(louds_encode(t)) for n in range(1, 8) for t in trees(n)}
+        # ordered tree of up to 7 nodes
+        encodings = {tuple(louds_encode(t)) for n in range(1, 8) for t in every_tree(n)}
         assert len(encodings) == 197
         accepted = set()
         for length in range(14):
@@ -385,6 +392,17 @@ class TestCheckedLayer:
                     continue
                 accepted.add(bits)
         assert accepted == encodings
+
+    def test_every_tree_of_up_to_ten_nodes_checks(self):
+        # the small scope: encoding, navigation and the traversals at every shape
+        checked = 0
+        for n in range(1, 11):
+            for t in every_tree(n):
+                verify.check_encoding(t)
+                verify.check_navigation(t)
+                verify.check_traversals(t)
+                checked += 1
+        assert checked == 6918
 
     def test_is_immutable(self):
         nav = Louds(LOUDS21)
@@ -525,6 +543,27 @@ class TestCollectorPause:
             assert gc.isenabled() is enabled
         finally:
             gc.enable()
+
+
+def _reference_random_tree(rng: random.Random, n: int) -> Tree:
+    """The loop ``random_tree`` built its tree with before it handed the
+    level-order shape to ``_tree_of_shape``: one ``Tree`` per node, from
+    the last back, with the same draws."""
+    kids: list[list[int]] = [[] for _ in range(n)]
+    for node in range(1, n):
+        kids[rng.randrange(node)].append(node)
+    built: list[Tree | None] = [None] * n
+    for node in range(n - 1, -1, -1):
+        built[node] = Tree(node, (built[c] for c in kids[node]))
+    return built[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 5000])
+def test_random_tree_matches_the_loop_it_replaced(n):
+    for seed in range(5):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        assert random_tree(rng, n) == _reference_random_tree(reference_rng, n)
+        assert rng.getstate() == reference_rng.getstate()
 
 
 _REFERENCE_TOKEN = re.compile(r"[()]|[^\s()]+")
