@@ -18,7 +18,7 @@ check is the range check.
 
 Updates are purely functional: each returns a tree, new but sharing
 every untouched subtree with the input, or the input itself when nothing
-changed (``dset`` of a 1, ``dclear`` of a 0), so ``is`` tells whether an
+changed (``dset`` of the bit already there), so ``is`` tells whether an
 update changed anything.  ``dflatten`` defines the meaning of a tree,
 and every operation here is equivalent to the corresponding
 flat-sequence operation on ``dflatten`` -- the test suite checks
@@ -45,13 +45,11 @@ __all__ = [
     "RED",
     "SizeBounds",
     "daccess",
-    "dclear",
     "ddelete",
     "dflatten",
     "dinsert",
     "drank",
-    "dselect0",
-    "dselect1",
+    "dselect",
     "dset",
     "dsize",
     "dump",
@@ -160,6 +158,8 @@ class SizeBounds:
     high: int
 
     def __post_init__(self):
+        if not (isinstance(self.low, int) and isinstance(self.high, int)):
+            raise TypeError("low and high must be ints")
         if self.low < 1:
             raise ValueError("low must be at least 1")
         if self.high < 2 * self.low:
@@ -251,14 +251,17 @@ _WINDOW_MASK = (1 << _WINDOW) - 1
 _WINDOW_STEPS = _halves(_WINDOW.bit_length() - 1)
 
 
-def _dselect(t: DTree, i: int, b: int) -> int:
-    """1-based position of the i-th b-bit, with select's conventions.
+def dselect(t: DTree, b: int, i: int) -> int:
+    """1-based position of the i-th b-bit (b 0 or 1), with select's
+    conventions.
 
     The leaf's count of b-bits, known below the descent's first left
     turn and counted otherwise, puts the i-th near the middle of a
     window starting at p.  One shift and count tell the b-bits below p;
     ``_halve`` searches the window, or else the whole leaf, sentinel
     included, or a step could keep a half wider than its width."""
+    if b not in (0, 1):
+        raise ValueError("b must be 0 or 1")
     if i < 0:
         raise ValueError("occurrence ordinal must be non-negative")
     acc, count = 0, None  # t's b-bits, once known
@@ -286,16 +289,6 @@ def _dselect(t: DTree, i: int, b: int) -> int:
         return acc + p + _halve(window, r, _WINDOW_STEPS) + 1
     word = t if b else t ^ (1 << n) - 1
     return acc + _halve(word, i, _halves(n.bit_length())) + 1
-
-
-def dselect1(t: DTree, i: int) -> int:
-    """1-based position of the i-th 1-bit, with select's conventions."""
-    return _dselect(t, i, 1)
-
-
-def dselect0(t: DTree, i: int) -> int:
-    """1-based position of the i-th 0-bit, with select's conventions."""
-    return _dselect(t, i, 0)
 
 
 def daccess(t: DTree, i: int) -> int:
@@ -448,28 +441,21 @@ def dinsert(t: DTree, b: int, i: int, bounds: SizeBounds) -> DTree:
 # set / clear
 
 
-def _dset(t: DTree, i: int, value: int) -> DTree:
-    """t with bit i set to value; t itself when the bit already holds it."""
+def dset(t: DTree, b: int, i: int) -> DTree:
+    """t with bit i set to b (0 or 1, bools included); the leaf checks i
+    first, then b.  Shape, colors and untouched metadata are preserved,
+    and t itself comes back when bit i already holds b."""
     if isinstance(t, Leaf):
         if i < 0 or (x := t >> i) < 2:
             raise IndexError("bit index out of range")
-        return t if x & 1 == value else Leaf(t ^ 1 << i)
+        if not (isinstance(b, int) and 0 <= b <= 1):
+            raise ValueError(f"bit must be 0 or 1, got {b!r}")
+        return t if x & 1 == b else Leaf(t ^ 1 << i)
     if i < t.num:
-        left = _dset(t.left, i, value)
-        return t if left is t.left else Node(t.color, left, t.num, t.ones + 2 * value - 1, t.right)
-    right = _dset(t.right, i - t.num, value)
+        left = dset(t.left, b, i)
+        return t if left is t.left else Node(t.color, left, t.num, t.ones + 2 * b - 1, t.right)
+    right = dset(t.right, b, i - t.num)
     return t if right is t.right else Node(t.color, t.left, t.num, t.ones, right)
-
-
-def dset(t: DTree, i: int) -> DTree:
-    """Set bit i to 1.  Shape, colors and untouched metadata are
-    preserved, and t itself comes back when the bit was already 1."""
-    return _dset(t, i, 1)
-
-
-def dclear(t: DTree, i: int) -> DTree:
-    """Clear bit i to 0; t itself comes back when the bit was already 0."""
-    return _dset(t, i, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -679,21 +665,21 @@ class DynamicBitVector:
         self.tree = ddelete(self.tree, i, self.bounds)
 
     def set(self, i: int) -> bool:
-        old, self.tree = self.tree, dset(self.tree, i)
+        old, self.tree = self.tree, dset(self.tree, 1, i)
         return self.tree is not old
 
     def clear(self, i: int) -> bool:
-        old, self.tree = self.tree, dclear(self.tree, i)
+        old, self.tree = self.tree, dset(self.tree, 0, i)
         return self.tree is not old
 
     def rank(self, i: int) -> int:
         return drank(self.tree, i)
 
     def select1(self, k: int) -> int:
-        return dselect1(self.tree, k)
+        return dselect(self.tree, 1, k)
 
     def select0(self, k: int) -> int:
-        return dselect0(self.tree, k)
+        return dselect(self.tree, 0, k)
 
     def access(self, i: int) -> int:
         return daccess(self.tree, i)

@@ -1,10 +1,12 @@
 import copy
+import functools
 import gc
 import math
 import pickle
 import random
 import sys
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,13 +36,11 @@ from succinct.dynamic import (
     Leaf,
     Node,
     daccess,
-    dclear,
     ddelete,
     dflatten,
     dinsert,
     drank,
-    dselect0,
-    dselect1,
+    dselect,
     dset,
     dsize,
     redblack_check,
@@ -86,14 +86,14 @@ class TestFlattenAndQueries:
 
     def test_dselect_samples(self):
         t = dbv_sample()
-        assert dselect1(t, 3) == oracle_select(1, 3, DBV40_FLAT) == 14
-        assert dselect0(t, 0) == 0
+        assert dselect(t, 1, 3) == oracle_select(1, 3, DBV40_FLAT) == 14
+        assert dselect(t, 0, 0) == 0
         assert dsize(t) == 40
 
     def test_dselect_past_count_gives_size_plus_one(self):
         t = dbv_sample()
-        assert dselect1(t, 11) == 41
-        assert dselect0(t, 31) == 41
+        assert dselect(t, 1, 11) == 41
+        assert dselect(t, 0, 31) == 41
 
     def test_daccess(self):
         t = dbv_sample()
@@ -110,8 +110,8 @@ class TestFlattenAndQueries:
             for i in range(len(flat) + 2):
                 assert drank(t, i) == oracle_rank(1, i, flat)
             for k in range(len(flat) + 2):
-                assert dselect0(t, k) == oracle_select(0, k, flat)
-                assert dselect1(t, k) == oracle_select(1, k, flat)
+                assert dselect(t, 0, k) == oracle_select(0, k, flat)
+                assert dselect(t, 1, k) == oracle_select(1, k, flat)
 
     def test_dselect_in_leaves_above_65536_bits(self):
         """The in-leaf halving needs steps wider than 2^16 here."""
@@ -121,13 +121,13 @@ class TestFlattenAndQueries:
         t = from_bits(flat, bounds)
         assert isinstance(t, Node) and wf_check(t, bounds)
         assert min(t.left.length, t.right.length) > 65_536
-        for b, dselect in ((0, dselect0), (1, dselect1)):
+        for b in (0, 1):
             count = flat.count(b)
             ordinals = [0, 1, count, count + 1, *rng.sample(range(2, count), 20)]
             for k in ordinals:
-                assert dselect(t, k) == oracle_select(b, k, flat), (b, k)
+                assert dselect(t, b, k) == oracle_select(b, k, flat), (b, k)
             with pytest.raises(ValueError):
-                dselect(t, -1)
+                dselect(t, b, -1)
 
     @pytest.mark.parametrize("shape", ["random", "blocks", "sparse"])
     def test_dselect_every_ordinal_at_default_bounds(self, shape):
@@ -146,9 +146,9 @@ class TestFlattenAndQueries:
             flat = [j // 2048 & 1 for j in range(n)]
         t = from_bits(flat, DEFAULT_BOUNDS)
         assert isinstance(t, Node)
-        for b, dselect in ((0, dselect0), (1, dselect1)):
+        for b in (0, 1):
             where = [j + 1 for j, x in enumerate(flat) if x == b]
-            assert [dselect(t, k) for k in range(len(where) + 3)] == [0, *where, n + 1, n + 1]
+            assert [dselect(t, b, k) for k in range(len(where) + 3)] == [0, *where, n + 1, n + 1]
 
 
 class TestWellFormedness:
@@ -192,6 +192,15 @@ class TestWellFormedness:
         assert SizeBounds.from_w(8) == SizeBounds(32, 128)
         with pytest.raises(ValueError):
             SizeBounds.from_w(1)
+
+    def test_bounds_must_be_ints(self):
+        # a float bound would fail deep in from_bits, or pass for some sizes
+        for low, high in ((8, 32.5), (8.0, 32)):
+            with pytest.raises(TypeError):
+                SizeBounds(low, high)
+        with pytest.raises(TypeError):
+            SizeBounds.from_w(8.0)
+        assert SizeBounds(True, 2) == SizeBounds(1, 2)
 
 
 class TestRedblackCheck:
@@ -248,7 +257,7 @@ class TestInsert:
 class TestSetClear:
     def test_set_then_access(self):
         t = from_bits(b("0000000000"), BOUNDS)
-        t2 = dset(t, 7)
+        t2 = dset(t, 1, 7)
         assert t2 is not t and daccess(t2, 7) == 1
 
     def test_set_is_idempotent_and_preserves_identity(self):
@@ -260,8 +269,8 @@ class TestSetClear:
             t = from_bits(bits, bounds)
             assert isinstance(t, Leaf) is root_is_leaf
             for i, bit in enumerate(bits):
-                for update, method, value in ((dset, "set", 1), (dclear, "clear", 0)):
-                    assert (update(t, i) is t) == (bit == value), (update.__name__, i)
+                for method, value in (("set", 1), ("clear", 0)):
+                    assert (dset(t, value, i) is t) == (bit == value), (value, i)
                     vec = DynamicBitVector(bits, bounds=bounds)
                     assert getattr(vec, method)(i) == (bit != value), (method, i)
                     assert vec.to_bits() == update_at(bits, i, value)
@@ -272,12 +281,9 @@ class TestSetClear:
             flat = [rng.randint(0, 1) for _ in range(rng.randint(1, 80))]
             t = from_bits(flat, BOUNDS)
             i = rng.randrange(len(flat))
-            if rng.random() < 0.5:
-                t = dset(t, i)
-                flat = update_at(flat, i, 1)
-            else:
-                t = dclear(t, i)
-                flat = update_at(flat, i, 0)
+            bit = int(rng.random() < 0.5)
+            t = dset(t, bit, i)
+            flat = update_at(flat, i, bit)
             check_state(t, flat, BOUNDS)
 
     def test_shape_and_colors_unchanged(self):
@@ -288,13 +294,13 @@ class TestSetClear:
                 return ("leaf", node.length)
             return (node.color, shape(node.left), shape(node.right))
 
-        assert shape(dset(t, 33)) == shape(t)
+        assert shape(dset(t, 1, 33)) == shape(t)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            dset(Leaf.of(b("10")), 2)
+            dset(Leaf.of(b("10")), 1, 2)
         with pytest.raises(IndexError):
-            dclear(Leaf.of([]), 0)
+            dset(Leaf.of([]), 0, 0)
 
 
 class TestDelete:
@@ -758,10 +764,9 @@ def test_every_version_outlives_the_writes_after_it(bounds, script):
             versions.append((dinsert(t, bit, i, bounds), insert1(flat, bit, i)))
         elif op == "delete":
             versions.append((ddelete(t, i, bounds), delete_at(flat, i)))
-        elif op == "set":
-            versions.append((dset(t, i), update_at(flat, i, 1)))
         else:
-            versions.append((dclear(t, i), update_at(flat, i, 0)))
+            value = 1 if op == "set" else 0
+            versions.append((dset(t, value, i), update_at(flat, i, value)))
     for t, flat in versions:
         check_state(t, flat, bounds)
 
@@ -821,7 +826,7 @@ def counted_writes(bounds, seed, steps=3000):
         elif op == "delete":
             new = ddelete(t, i, bounds)
         else:
-            new = (dset if op == "set" else dclear)(t, i)
+            new = dset(t, 1 if op == "set" else 0, i)
         yield op, t, i, new
         t, size = new, size + {"insert": 1, "delete": -1}.get(op, 0)
 
@@ -836,7 +841,7 @@ def test_new_nodes_counts_by_identity():
 
 @pytest.mark.parametrize("bounds", PERSISTENT_BOUNDS, ids=str)
 def test_a_flip_builds_its_search_path_and_one_leaf(bounds):
-    """``_dset`` rebuilds each node it steers through and the leaf, and
+    """``dset`` rebuilds each node it steers through and the leaf, and
     returns its input when the bit already holds the value."""
     for seed in range(2):
         for op, old, i, new in counted_writes(bounds, seed):
@@ -904,8 +909,8 @@ def test_packed_queries_match_oracle(case):
     t, flat = case
     for i in range(len(flat) + 3):
         assert drank(t, i) == oracle_rank(1, i, flat)
-        assert dselect0(t, i) == oracle_select(0, i, flat)
-        assert dselect1(t, i) == oracle_select(1, i, flat)
+        assert dselect(t, 0, i) == oracle_select(0, i, flat)
+        assert dselect(t, 1, i) == oracle_select(1, i, flat)
     for i in range(len(flat)):
         assert daccess(t, i) == flat[i]
 
@@ -1065,6 +1070,17 @@ class TestBitRule:
             dinsert(Leaf.of([1]), bad, 0, BOUNDS)
         with pytest.raises(ValueError):
             DynamicBitVector([1], bounds=BOUNDS).insert(1, bad)
+        with pytest.raises(ValueError):
+            dset(Leaf.of([1]), bad, 0)
+
+    def test_dselect_takes_the_bit_bitvector_select_takes(self):
+        t = from_bits([0, 1, 1, 0] * 5, SizeBounds(1, 2))
+        for bad in (2, -1):
+            with pytest.raises(ValueError, match="b must be 0 or 1"):
+                dselect(t, bad, 1)
+            # the bit is checked before the ordinal
+            with pytest.raises(ValueError, match="b must be 0 or 1"):
+                dselect(t, bad, -1)
 
     def test_bools_are_bits(self):
         bits = [True, False, True, True]
@@ -1074,6 +1090,14 @@ class TestBitRule:
         assert DynamicBitVector(bits, bounds=BOUNDS).to_bits() == [1, 0, 1, 1]
         t = dinsert(dinsert(Leaf.of([0]), True, 1, BOUNDS), False, 0, BOUNDS)
         assert t == Leaf.of([0, 0, 1])
+        t = from_bits([1, 0, 1, 1] * 3, SizeBounds(1, 2))
+        for k in range(10):
+            assert dselect(t, True, k) == dselect(t, 1, k)
+            assert dselect(t, False, k) == dselect(t, 0, k)
+        for i in range(12):
+            assert dset(t, False, i) == dset(t, 0, i)
+            assert dset(t, True, i) == dset(t, 1, i)
+        assert dset(t, True, 0) is t
 
 
 # ---------------------------------------------------------------------------
@@ -1118,9 +1142,9 @@ class TestIndexChecksAtTheLeaf:
             with pytest.raises(IndexError):
                 ddelete(t, i, bounds)
             with pytest.raises(IndexError):
-                dset(t, i)
+                dset(t, 1, i)
             with pytest.raises(IndexError):
-                dclear(t, i)
+                dset(t, 0, i)
             with pytest.raises(IndexError):
                 daccess(t, i)
 
@@ -1140,6 +1164,9 @@ class TestIndexChecksAtTheLeaf:
         for i in (-1, dsize(t) + 1):
             with pytest.raises(IndexError):
                 dinsert(t, 2, i, BOUNDS)
+        for i in (-1, dsize(t)):
+            with pytest.raises(IndexError):
+                dset(t, 2, i)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1159,8 +1186,8 @@ def test_ops_at_every_leaf_edge_match_oracle(bits, bit):
         for got, want in (
             (_outcome(dinsert, t, bit, i, bounds), _outcome(insert1, bits, bit, i)),
             (_outcome(ddelete, t, i, bounds), _outcome(delete_at, bits, i)),
-            (_outcome(dset, t, i), _outcome(update_at, bits, i, 1)),
-            (_outcome(dclear, t, i), _outcome(update_at, bits, i, 0)),
+            (_outcome(dset, t, 1, i), _outcome(update_at, bits, i, 1)),
+            (_outcome(dset, t, 0, i), _outcome(update_at, bits, i, 0)),
         ):
             if want is IndexError:
                 assert got is IndexError
@@ -1203,12 +1230,12 @@ def test_sentinel_leaf_queries_match_oracle(bits):
     assert drank(leaf, 10**12) == bits.count(1)
     assert time.perf_counter() - start < 0.1
     rng = random.Random(n)
-    for bit, dselect in ((0, dselect0), (1, dselect1)):
+    for bit in (0, 1):
         count = bits.count(bit)
         ordinals = {0, 1, count - 1, count, count + 1, count + 2, 10**12}
         ordinals |= set(rng.sample(range(count + 1), min(count + 1, 16)))
         for k in sorted(ordinals - {-1}):
-            assert dselect(leaf, k) == oracle_select(bit, k, bits), (bit, k)
+            assert dselect(leaf, bit, k) == oracle_select(bit, k, bits), (bit, k)
     for i in (-1, 0, n - 1, n, n + 1):
         assert _outcome(daccess, leaf, i) == _outcome(_flat_access, bits, i)
 
@@ -1225,8 +1252,8 @@ def test_sentinel_leaf_updates_match_oracle(bits):
             (_outcome(dinsert, leaf, 0, i, bounds), _outcome(insert1, bits, 0, i)),
             (_outcome(dinsert, leaf, 1, i, bounds), _outcome(insert1, bits, 1, i)),
             (_outcome(ddelete, leaf, i, bounds), _outcome(delete_at, bits, i)),
-            (_outcome(dset, leaf, i), _outcome(update_at, bits, i, 1)),
-            (_outcome(dclear, leaf, i), _outcome(update_at, bits, i, 0)),
+            (_outcome(dset, leaf, 1, i), _outcome(update_at, bits, i, 1)),
+            (_outcome(dset, leaf, 0, i), _outcome(update_at, bits, i, 0)),
         ):
             if want is IndexError:
                 assert got is IndexError, i
@@ -1252,7 +1279,104 @@ def test_splits_borrows_and_merges_across_digit_edges(bounds):
         seen |= {node.length for _, node in _levels(t) if isinstance(node, Leaf)}
         i, k = rng.randint(0, len(flat) + 1), rng.randint(0, len(flat) + 1)
         assert drank(t, i) == oracle_rank(1, i, flat)
-        assert dselect0(t, k) == oracle_select(0, k, flat)
-        assert dselect1(t, k) == oracle_select(1, k, flat)
+        assert dselect(t, 0, k) == oracle_select(0, k, flat)
+        assert dselect(t, 1, k) == oracle_select(1, k, flat)
     # a merge of a short leaf with a minimal one, and both split halves
     assert {2 * bounds.low - 1, bounds.high // 2, (bounds.high + 1) // 2} <= seen
+
+
+# ---------------------------------------------------------------------------
+# small-scope exhaustive checks: every small red-black tree, every op at
+# every index (Runciman, Naylor & Lindblad, *SmallCheck*, 2008)
+
+
+@functools.cache
+def _rb_shapes(n, height, red_ok):
+    """Every red-black shape over n leaves with black height ``height``,
+    None for a leaf and (color, left, right) for a node, whose root is
+    red only when red_ok.  A leaf has black height 0."""
+    shapes = [None] if (n, height) == (1, 0) else []
+    for color in (BLACK, RED) if red_ok else (BLACK,):
+        below = height - (color is BLACK)
+        if below >= 0:
+            for k in range(1, n):
+                shapes += [(color, left, right) for left in _rb_shapes(k, below, color is BLACK)
+                           for right in _rb_shapes(n - k, below, color is BLACK)]
+    return tuple(shapes)
+
+
+def _fill(shape, leaves):
+    """(tree, size, ones) of a shape whose leaves come from an iterator."""
+    if shape is None:
+        leaf = next(leaves)
+        return leaf, leaf.length, leaf.word.bit_count()
+    color, left, right = shape
+    left, num, ones = _fill(left, leaves)
+    right, size, ones_r = _fill(right, leaves)
+    return Node(color, left, num, ones, right), num + size, ones + ones_r
+
+
+def _small_trees(most_leaves, lengths):
+    """(tree, flat) for every red-black tree with a black root over 1 to
+    most_leaves leaves, each leaf of a length in ``lengths``, holding
+    alternating bits."""
+    for n in range(1, most_leaves + 1):
+        for shape in (s for height in range(n.bit_length()) for s in _rb_shapes(n, height, False)):
+            for sizes in product(lengths, repeat=n):
+                flat = [j & 1 for j in range(sum(sizes))]
+                cuts = [sum(sizes[:j]) for j in range(n + 1)]
+                leaves = [Leaf.of(flat[a:z]) for a, z in zip(cuts, cuts[1:])]
+                yield _fill(shape, iter(leaves))[0], flat
+
+
+def _answers(flat):
+    """The oracle's rank at every prefix, and select of each bit at every
+    ordinal up to one past its count, of a tuple of bits."""
+    ranks = [oracle_rank(1, i, flat) for i in range(len(flat) + 1)]
+    selects = ([oracle_select(bit, k, flat) for k in range(flat.count(bit) + 2)] for bit in (0, 1))
+    return ranks, *selects
+
+
+def _check_queries(t, flat, answers):
+    ranks, select0, select1 = answers(tuple(flat))
+    assert [drank(t, i) for i in range(len(ranks))] == ranks
+    assert [dselect(t, 0, k) for k in range(len(select0))] == select0
+    assert [dselect(t, 1, k) for k in range(len(select1))] == select1
+    assert [daccess(t, i) for i in range(len(flat))] == flat
+
+
+def _shape(t):
+    return t.length if isinstance(t, Leaf) else (t.color, _shape(t.left), _shape(t.right))
+
+
+@pytest.mark.parametrize(
+    "bounds, most_leaves, lengths, count",
+    [(SizeBounds(1, 2), 12, (1,), 707), (SizeBounds(2, 4), 5, (2, 3), 182)],
+    ids=["1,2", "2,4"],
+)
+def test_every_small_tree_every_op_every_index(bounds, most_leaves, lengths, count):
+    """Insert 0 and 1 at 0..n, and delete and set to 0 and to 1 at
+    0..n-1, on every small tree; after each op the flat result, the
+    window, the red-black invariant, the change of black height and
+    every query agree with the oracle.  At bounds 1,2 a leaf holds one
+    bit, so a short leaf always merges; at 2,4 its sibling may lend."""
+    seen, answers = 0, functools.cache(_answers)  # many results share their bits
+    for t, flat in _small_trees(most_leaves, lengths):
+        seen, n, height = seen + 1, len(flat), redblack_check(t)
+        assert height is not None and wf_check(t, bounds) and dflatten(t) == flat
+        _check_queries(t, flat, answers)
+        results = [("insert", dinsert(t, bit, i, bounds), insert1(flat, bit, i))
+                   for i in range(n + 1) for bit in (0, 1)]
+        results += [("delete", ddelete(t, i, bounds), delete_at(flat, i)) for i in range(n)]
+        results += [("set", dset(t, bit, i), update_at(flat, i, bit))
+                    for i in range(n) for bit in (0, 1)]
+        for op, new, want in results:
+            assert dflatten(new) == want and wf_check(new, bounds), (op, flat)
+            new_height = redblack_check(new)
+            grew = {"insert": (0, 1), "delete": (0, -1), "set": (0,)}[op]
+            assert new_height is not None and new_height - height in grew, (op, flat)
+            if op == "set":
+                assert _shape(new) == _shape(t)
+            if new is not t:
+                _check_queries(new, want, answers)
+    assert seen == count
