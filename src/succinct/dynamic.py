@@ -76,11 +76,6 @@ class Leaf(int):
 
     __slots__ = ()
 
-    @classmethod
-    def of(cls, bits: Iterable[int]) -> "Leaf":
-        """The leaf holding ``bits``, index 0 first."""
-        return _leaf_of_text(_ascii_bits(bits))
-
     @property
     def word(self) -> int:
         return self ^ 1 << self.bit_length() - 1

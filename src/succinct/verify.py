@@ -24,7 +24,6 @@ __all__ = [
     "check_navigation",
     "check_traversals",
     "level_order",
-    "random_path",
     "random_script",
     "random_tree",
 ]
@@ -45,17 +44,6 @@ def random_tree(rng: Random, n: int) -> Tree:
     for node in order:  # the loop walks the level order while it grows
         order += kids[node]
     return _tree_of_shape(tuple((node, len(kids[node])) for node in order))
-
-
-def random_path(rng: Random, t: Tree) -> list[int]:
-    """Random valid path in t (possibly the root's empty path)."""
-    path: list[int] = []
-    node = t
-    while node.children and rng.random() < 0.75:
-        i = rng.randrange(len(node.children))
-        path.append(i)
-        node = node.children[i]
-    return path
 
 
 def check_traversals(t: Tree) -> None:

@@ -25,20 +25,27 @@ LOUDS21_TEXT = "101110110011100001000"
 LOUDS21 = parse_bits(LOUDS21_TEXT)
 
 
+def leaf_of(bits) -> Leaf:
+    """The leaf holding a sequence of 0/1 bits, index 0 first, spelled
+    straight as its sentinel int -- a 1, then the bits last to first --
+    so a check of the library's leaf builders does not go through them."""
+    return Leaf(int("1" + "".join("01"[bit] for bit in reversed(bits)), 2))
+
+
 def dbv_sample() -> Node:
     """40-bit dynamic bit vector with known metadata at every node."""
     b = parse_bits
     return Node(
         BLACK,
-        Node(BLACK, Leaf.of(b("10000010")), 8, 2, Leaf.of(b("00000100"))),
+        Node(BLACK, leaf_of(b("10000010")), 8, 2, leaf_of(b("00000100"))),
         16,
         3,
         Node(
             BLACK,
-            Node(RED, Leaf.of(b("00001010")), 8, 2, Leaf.of(b("00001011"))),
+            Node(RED, leaf_of(b("00001010")), 8, 2, leaf_of(b("00001011"))),
             16,
             5,
-            Leaf.of(b("10000001")),
+            leaf_of(b("10000001")),
         ),
     )
 
@@ -54,10 +61,10 @@ DEL_BOUNDS = SizeBounds(3, 8)
 def del_borrow_sample() -> tuple[Node, Node]:
     b = parse_bits
     before = Node(
-        BLACK, Leaf.of(b("100")), 3, 1, Node(RED, Leaf.of(b("1011")), 4, 3, Leaf.of(b("111")))
+        BLACK, leaf_of(b("100")), 3, 1, Node(RED, leaf_of(b("1011")), 4, 3, leaf_of(b("111")))
     )
     after = Node(
-        BLACK, Node(RED, Leaf.of(b("101")), 3, 2, Leaf.of(b("011"))), 6, 4, Leaf.of(b("111"))
+        BLACK, Node(RED, leaf_of(b("101")), 3, 2, leaf_of(b("011"))), 6, 4, leaf_of(b("111"))
     )
     return before, after
 
@@ -65,9 +72,9 @@ def del_borrow_sample() -> tuple[Node, Node]:
 def del_merge_sample() -> tuple[Node, Node]:
     b = parse_bits
     before = Node(
-        BLACK, Leaf.of(b("100")), 3, 1, Node(RED, Leaf.of(b("101")), 3, 2, Leaf.of(b("1111")))
+        BLACK, leaf_of(b("100")), 3, 1, Node(RED, leaf_of(b("101")), 3, 2, leaf_of(b("1111")))
     )
-    after = Node(BLACK, Leaf.of(b("10101")), 5, 3, Leaf.of(b("1111")))
+    after = Node(BLACK, leaf_of(b("10101")), 5, 3, leaf_of(b("1111")))
     return before, after
 
 

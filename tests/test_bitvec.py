@@ -12,7 +12,7 @@ from samples import BITS58, LOUDS21, reference_ascii_bits, reference_text_bits
 from succinct import BitVector, DynamicBitVector, Louds, SizeBounds, format_bits, parse_bits
 from succinct import bitvec
 from succinct.bitvec import _of_int, _text_bits
-from succinct.dynamic import Leaf, dflatten, from_bits
+from succinct.dynamic import dflatten, from_bits
 from succinct.oracle import oracle_count, oracle_pred, oracle_rank, oracle_select, oracle_succ
 from succinct.verify import random_tree
 
@@ -553,7 +553,6 @@ BULK_INPUTS = {
 BULK_READERS = {
     "BitVector": lambda bits: list(BitVector(bits)),
     "format_bits": lambda bits: parse_bits(format_bits(bits)),
-    "Leaf.of": lambda bits: dflatten(Leaf.of(bits)),
     "from_bits": lambda bits: dflatten(from_bits(bits, SizeBounds(2, 4))),
     "DynamicBitVector": lambda bits: DynamicBitVector(bits).to_bits(),
 }

@@ -12,9 +12,9 @@ from random import Random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from samples import LOUDS21_TEXT, TREE10_TEXT, del_borrow_sample
+from samples import LOUDS21_TEXT, TREE10_TEXT, del_borrow_sample, leaf_of
 from succinct import dump
-from succinct.dynamic import RED, Leaf, Node
+from succinct.dynamic import RED, Node
 from succinct.louds import Louds, number_of_nodes
 from succinct.cli import main, parse_script, ScriptError
 from succinct.verify import OPS, ScriptRunner, VerifyError, random_script, random_tree
@@ -516,7 +516,7 @@ class TestDbvRun:
         import succinct.cli as cli_mod
 
         # a leaf beyond the upper bound, as if from_bits had built it
-        monkeypatch.setattr(cli_mod, "from_bits", lambda bits, bounds: Leaf.of([1] * 100))
+        monkeypatch.setattr(cli_mod, "from_bits", lambda bits, bounds: leaf_of([1] * 100))
         path = tmp_path / "s.txt"
         path.write_text("access 0\n")
         code, out, err = run(capsys, "dbv-run", str(path), "--verify", "--init", "1",
@@ -762,7 +762,7 @@ class TestRunnerDivergenceDetection:
     @pytest.mark.parametrize("op", [("access", 0), ("insert", 0, 1)])
     def test_failures_on_the_first_op_name_step_1(self, op):
         # a query mismatch and a contents failure number the op alike
-        runner = ScriptRunner(SizeBounds(8, 32), verify=True, tree=Leaf.of([0]))
+        runner = ScriptRunner(SizeBounds(8, 32), verify=True, tree=leaf_of([0]))
         runner.flat = [1]  # corrupt the oracle state
         with pytest.raises(VerifyError, match=r"^step 1 "):
             runner.step(op)
@@ -802,9 +802,7 @@ class TestRunnerDivergenceDetection:
             runner.step(("insert", 0, 1))
 
     def test_bad_initial_tree_is_detected(self):
-        from succinct.dynamic import Leaf
-
-        bad = Leaf.of([1] * 100)  # beyond the leaf upper bound
+        bad = leaf_of([1] * 100)  # beyond the leaf upper bound
         with pytest.raises(VerifyError):
             ScriptRunner(SizeBounds(8, 32), verify=True, tree=bad)
 

@@ -17,6 +17,7 @@ from samples import (
     dbv_sample,
     del_borrow_sample,
     del_merge_sample,
+    leaf_of,
     reference_text_bits,
 )
 from succinct import (
@@ -65,7 +66,7 @@ class TestFlattenAndQueries:
         assert dflatten(dbv_sample()) == DBV40_FLAT
 
     def test_flatten_leaf_is_identity(self):
-        assert dflatten(Leaf.of(b("0110"))) == b("0110")
+        assert dflatten(leaf_of(b("0110"))) == b("0110")
 
     def test_from_bits_roundtrip(self):
         rng = random.Random(11)
@@ -166,12 +167,12 @@ class TestWellFormedness:
         assert not wf_check(corrupt, SizeBounds(8, 17))
 
     def test_admits_small_root_leaf(self):
-        assert wf_check(Leaf.of([1]), BOUNDS)
-        assert wf_check(Leaf.of([]), BOUNDS)
-        assert not wf_check(Leaf.of([0] * BOUNDS.high), BOUNDS)
+        assert wf_check(leaf_of([1]), BOUNDS)
+        assert wf_check(leaf_of([]), BOUNDS)
+        assert not wf_check(leaf_of([0] * BOUNDS.high), BOUNDS)
 
     def test_only_a_root_leaf_may_be_short(self):
-        short, full = Leaf.of([1]), Leaf.of([0] * BOUNDS.low)
+        short, full = leaf_of([1]), leaf_of([0] * BOUNDS.low)
         assert wf_check(Node(BLACK, full, BOUNDS.low, 0, full), BOUNDS)
         assert not wf_check(Node(BLACK, short, 1, 1, full), BOUNDS)
         assert not wf_check(Node(BLACK, full, BOUNDS.low, 0, short), BOUNDS)
@@ -208,44 +209,44 @@ class TestRedblackCheck:
         assert redblack_check(dbv_sample()) == 2
 
     def test_rejects_red_red(self):
-        inner = Node(RED, Leaf.of(b("1")), 1, 1, Leaf.of(b("0")))
-        t = Node(RED, inner, 2, 1, Leaf.of(b("0")))
+        inner = Node(RED, leaf_of(b("1")), 1, 1, leaf_of(b("0")))
+        t = Node(RED, inner, 2, 1, leaf_of(b("0")))
         assert redblack_check(t, context=Color.BLACK) is None
 
     def test_red_root_invalid_under_red_context(self):
-        t = Node(RED, Leaf.of(b("1")), 1, 1, Leaf.of(b("0")))
+        t = Node(RED, leaf_of(b("1")), 1, 1, leaf_of(b("0")))
         assert redblack_check(t) is None
         assert redblack_check(t, context=Color.BLACK) == 0
 
     def test_rejects_uneven_black_height(self):
-        deep = Node(BLACK, Leaf.of(b("1")), 1, 1, Leaf.of(b("0")))
-        t = Node(BLACK, deep, 2, 1, Leaf.of(b("0")))
+        deep = Node(BLACK, leaf_of(b("1")), 1, 1, leaf_of(b("0")))
+        t = Node(BLACK, deep, 2, 1, leaf_of(b("0")))
         assert redblack_check(t) is None
 
 
 class TestInsert:
     def test_leaf_split_keeps_red_below_root_paint(self):
         # the raw insert splits a full leaf into a red node ...
-        raw = _dins(Leaf.of(b("101")), 1, 3, SizeBounds(2, 4))
-        assert raw == Node(RED, Leaf.of(b("10")), 2, 1, Leaf.of(b("11")))
+        raw = _dins(leaf_of(b("101")), 1, 3, SizeBounds(2, 4))
+        assert raw == Node(RED, leaf_of(b("10")), 2, 1, leaf_of(b("11")))
         # ... and the public wrapper then paints the root black
-        t = dinsert(Leaf.of(b("101")), 1, 3, SizeBounds(2, 4))
-        assert t == Node(BLACK, Leaf.of(b("10")), 2, 1, Leaf.of(b("11")))
+        t = dinsert(leaf_of(b("101")), 1, 3, SizeBounds(2, 4))
+        assert t == Node(BLACK, leaf_of(b("10")), 2, 1, leaf_of(b("11")))
         assert dflatten(t) == b("1011")
 
     def test_no_split_below_threshold(self):
-        assert dinsert(Leaf.of(b("10")), 1, 1, SizeBounds(4, 8)) == Leaf.of(b("110"))
+        assert dinsert(leaf_of(b("10")), 1, 1, SizeBounds(4, 8)) == leaf_of(b("110"))
 
     def test_insert_position_out_of_range(self):
         with pytest.raises(IndexError):
-            dinsert(Leaf.of(b("10")), 1, 3, BOUNDS)
+            dinsert(leaf_of(b("10")), 1, 3, BOUNDS)
 
     def test_random_insert_sequences_match_oracle(self):
         # tight bounds force frequent splits and rebalances
         rng = random.Random(29)
         bounds = SizeBounds(4, 8)
         for _ in range(1000):
-            t, flat = Leaf.of([]), []
+            t, flat = leaf_of([]), []
             for _ in range(rng.randint(1, 48)):
                 i = rng.randint(0, len(flat))
                 bit = rng.randint(0, 1)
@@ -298,9 +299,9 @@ class TestSetClear:
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            dset(Leaf.of(b("10")), 1, 2)
+            dset(leaf_of(b("10")), 1, 2)
         with pytest.raises(IndexError):
-            dset(Leaf.of([]), 0, 0)
+            dset(leaf_of([]), 0, 0)
 
 
 class TestDelete:
@@ -338,7 +339,7 @@ class TestDelete:
         # the short right leaf borrows the last bit of the red sibling's
         # right leaf; the red node moves down to the right, as on the left
         before = Node(
-            BLACK, Node(RED, Leaf.of(b("111")), 3, 3, Leaf.of(b("1101"))), 7, 6, Leaf.of(b("001"))
+            BLACK, Node(RED, leaf_of(b("111")), 3, 3, leaf_of(b("1101"))), 7, 6, leaf_of(b("001"))
         )
         got = ddelete(before, 8, DEL_BOUNDS)
         assert dump(got) == "\n".join(
@@ -354,17 +355,17 @@ class TestDelete:
 
     def test_delete_to_empty_leaf(self):
         t = from_bits(b("1"), BOUNDS)
-        assert ddelete(t, 0, BOUNDS) == Leaf.of([])
+        assert ddelete(t, 0, BOUNDS) == leaf_of([])
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            ddelete(Leaf.of(b("1")), 1, BOUNDS)
+            ddelete(leaf_of(b("1")), 1, BOUNDS)
 
     def test_random_interleaved_sequences_match_oracle(self):
         rng = random.Random(37)
         bounds = SizeBounds(3, 8)
         for _ in range(1000):
-            t, flat = Leaf.of([]), []
+            t, flat = leaf_of([]), []
             for _ in range(rng.randint(1, 30)):
                 if flat and rng.random() < 0.45:
                     i = rng.randrange(len(flat))
@@ -387,7 +388,7 @@ class TestDelete:
             t = ddelete(t, i, bounds)
             flat = delete_at(flat, i)
             check_state(t, flat, bounds)
-        assert t == Leaf.of([])
+        assert t == leaf_of([])
 
 
 def _random_redblack(rng, bh, context, low, high):
@@ -397,7 +398,7 @@ def _random_redblack(rng, bh, context, low, high):
             left = _random_redblack(rng, 0, RED, low, high)
             right = _random_redblack(rng, 0, RED, low, high)
             return Node(RED, left, dsize(left), dflatten(left).count(1), right)
-        return Leaf.of([rng.randint(0, 1) for _ in range(rng.randint(low, high - 1))])
+        return leaf_of([rng.randint(0, 1) for _ in range(rng.randint(low, high - 1))])
     color = BLACK if context is RED or rng.random() < 0.6 else RED
     child_bh = bh - 1 if color is BLACK else bh
     child_ctx = color
@@ -413,11 +414,11 @@ class TestDeletedBalance:
     def test_no_down_builds_plain_node(self):
         # the left leaf keeps more than low bits, so nothing drops and the
         # black root is rebuilt as a plain node over the new left subtree
-        inner = Node(RED, Leaf.of(b("1010")), 4, 2, Leaf.of(b("0011")))
-        t = Node(BLACK, inner, 8, 4, Leaf.of(b("1111")))
+        inner = Node(RED, leaf_of(b("1010")), 4, 2, leaf_of(b("0011")))
+        t = Node(BLACK, inner, 8, 4, leaf_of(b("1111")))
         tree, down, bit = _ddel(t, 0, 3)
         assert tree == Node(
-            BLACK, Node(RED, Leaf.of(b("010")), 3, 1, Leaf.of(b("0011"))), 7, 3, Leaf.of(b("1111"))
+            BLACK, Node(RED, leaf_of(b("010")), 3, 1, leaf_of(b("0011"))), 7, 3, leaf_of(b("1111"))
         )
         assert (down, bit) == (False, 1)
 
@@ -447,7 +448,7 @@ class TestDeletedBalance:
         # over two leaves under a black parent: only merging two leaves
         # under a black parent drops a level
         for _ in range(100):
-            short = Leaf.of([rng.randint(0, 1) for _ in range(low - 1)])
+            short = leaf_of([rng.randint(0, 1) for _ in range(low - 1)])
             sibling = _random_redblack(rng, 0, parent_color, low, high)
             num, ones = dsize(short), dflatten(short).count(1)
             tree, down = _fix_left_short(parent_color, short, num, ones, sibling, low)
@@ -475,7 +476,7 @@ class TestDeletedBalance:
             assert redblack_check(tree, RED if down else context) == expected_bh - down
             assert wf_check(tree, SizeBounds(low, high))
         for _ in range(100):
-            short = Leaf.of([rng.randint(0, 1) for _ in range(low - 1)])
+            short = leaf_of([rng.randint(0, 1) for _ in range(low - 1)])
             sibling = _random_redblack(rng, 0, parent_color, low, high)
             num, ones = dsize(sibling), dflatten(sibling).count(1)
             tree, down = _fix_right_short(parent_color, sibling, num, ones, short, low)
@@ -491,10 +492,10 @@ class TestDeletedBalance:
         # a black sibling with two red children: the outer one (rr on the
         # right, ll on the left) takes the single rotation, and the inner
         # one moves across still red
-        a, c, d, e = (Leaf.of(b(s)) for s in ("110", "001", "010", "111"))
+        a, c, d, e = (leaf_of(b(s)) for s in ("110", "001", "010", "111"))
         inner = Node(RED, a, 3, 2, c)
         outer = Node(RED, d, 3, 1, e)
-        short = Leaf.of(b("1000"))
+        short = leaf_of(b("1000"))
 
         sibling = Node(BLACK, inner, 6, 3, outer)
         tree, down = _fix_left_short(parent_color, short, 4, 1, sibling, 3)
@@ -635,8 +636,8 @@ class TestDumpFormat:
         t = Node(BLACK, Leaf(0b110 | 1 << 3), 3, 2, Leaf(1))
         assert dump(t) == '(Black num=3 ones=2\n  (leaf "011")\n  (leaf ""))'
         assert parse_dump(dump(t)) == t
-        assert parse_dump('(leaf "01 1")') == Leaf.of([0, 1, 1])
-        assert parse_dump("(leaf)") == Leaf.of([])
+        assert parse_dump('(leaf "01 1")') == leaf_of([0, 1, 1])
+        assert parse_dump("(leaf)") == leaf_of([])
 
     def test_deep_dump_round_trips(self):
         # deeper than the default recursion limit; dump indents every level
@@ -720,7 +721,7 @@ def op_batches(draw):
 @given(op_batches())
 def test_update_sequences_preserve_all_invariants(ops):
     bounds = SizeBounds(3, 8)
-    t, flat = Leaf.of([]), []
+    t, flat = leaf_of([]), []
     for op in ops:
         if op[0] == "insert":
             t = dinsert(t, op[2], op[1], bounds)
@@ -898,9 +899,9 @@ def edge_trees(draw):
     lengths = draw(st.lists(st.sampled_from(EDGE_LENGTHS), min_size=1, max_size=2))
     parts = [draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) for n in lengths]
     if len(parts) == 1:
-        return Leaf.of(parts[0]), parts[0]
+        return leaf_of(parts[0]), parts[0]
     left, right = parts
-    return Node(BLACK, Leaf.of(left), len(left), left.count(1), Leaf.of(right)), left + right
+    return Node(BLACK, leaf_of(left), len(left), left.count(1), leaf_of(right)), left + right
 
 
 @settings(max_examples=80, deadline=None)
@@ -971,15 +972,14 @@ def test_bulk_build_every_size(bounds, monkeypatch):
 
 
 def test_leaf_is_a_hashable_frozen_value():
-    a = Leaf.of([1, 0, 1])
-    assert a == Leaf.of(b("101")) == Leaf(0b101 | 1 << 3)
-    assert hash(a) == hash(Leaf.of(b("101")))
-    assert Leaf.of([1, 0]) != Leaf.of([1, 0, 0])
-    assert len({a, Leaf.of([1, 0, 1]), Leaf.of([])}) == 2
+    a = leaf_of([1, 0, 1])
+    assert a == Leaf(0b101 | 1 << 3) and hash(a) == hash(Leaf(0b1101))
+    assert leaf_of([1, 0]) != leaf_of([1, 0, 0])
+    assert len({a, leaf_of([1, 0, 1]), leaf_of([])}) == 2
     assert hash(dbv_sample()) == hash(dbv_sample())
     # one constructor, int's own: pickle and copy take int's defaults too
     assert "__new__" not in vars(Leaf) and "__reduce__" not in vars(Leaf)
-    for value in (a, Leaf.of([]), dbv_sample()):
+    for value in (a, leaf_of([]), dbv_sample()):
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             copied = pickle.loads(pickle.dumps(value, protocol))
             assert type(copied) is type(value) and copied == value, protocol
@@ -988,7 +988,7 @@ def test_leaf_is_a_hashable_frozen_value():
     # the repr evaluates back to an equal leaf
     rng = random.Random(29)
     for n in (0, 1, 64, 65):
-        leaf = Leaf.of([rng.getrandbits(1) for _ in range(n)])
+        leaf = leaf_of([rng.getrandbits(1) for _ in range(n)])
         shown = eval(repr(leaf), {"Leaf": Leaf})
         assert type(shown) is Leaf and shown == leaf and shown.length == n
     for name in ("word", "length", "bits"):
@@ -1003,7 +1003,7 @@ def test_leaf_is_a_hashable_frozen_value():
 def test_wf_check_rejects_a_leaf_below_one():
     # an int below 1 spells no leaf; -(1 << low) would pass the window
     # and the counts, reading as a low-bit leaf of 0s
-    full = Leaf.of([0] * BOUNDS.low)
+    full = leaf_of([0] * BOUNDS.low)
     for value in (0, -1, -(1 << BOUNDS.low)):
         bad = Leaf(value)
         assert not wf_check(bad, BOUNDS)
@@ -1047,16 +1047,14 @@ class TestBitRule:
         with pytest.raises(ValueError):
             BitVector(bad)
         with pytest.raises(ValueError):
-            Leaf.of(bad)
-        with pytest.raises(ValueError):
             from_bits(bad, BOUNDS)
         with pytest.raises(ValueError):
             DynamicBitVector(bad, bounds=BOUNDS)
 
     @pytest.mark.parametrize(
         "build",
-        [Leaf.of, lambda n: from_bits(n, BOUNDS), lambda n: DynamicBitVector(n, bounds=BOUNDS)],
-        ids=["Leaf.of", "from_bits", "DynamicBitVector"],
+        [lambda n: from_bits(n, BOUNDS), lambda n: DynamicBitVector(n, bounds=BOUNDS)],
+        ids=["from_bits", "DynamicBitVector"],
     )
     def test_bulk_entry_points_reject_an_int(self, build):
         # bytes(n) would read an int as n 0 bytes
@@ -1067,11 +1065,11 @@ class TestBitRule:
     @pytest.mark.parametrize("bad", [2, -1, 1.0, "1", None])
     def test_dinsert_rejects_other_values(self, bad):
         with pytest.raises(ValueError):
-            dinsert(Leaf.of([1]), bad, 0, BOUNDS)
+            dinsert(leaf_of([1]), bad, 0, BOUNDS)
         with pytest.raises(ValueError):
             DynamicBitVector([1], bounds=BOUNDS).insert(1, bad)
         with pytest.raises(ValueError):
-            dset(Leaf.of([1]), bad, 0)
+            dset(leaf_of([1]), bad, 0)
 
     def test_dselect_takes_the_bit_bitvector_select_takes(self):
         t = from_bits([0, 1, 1, 0] * 5, SizeBounds(1, 2))
@@ -1085,11 +1083,10 @@ class TestBitRule:
     def test_bools_are_bits(self):
         bits = [True, False, True, True]
         assert list(BitVector(bits)) == [1, 0, 1, 1]
-        assert Leaf.of(bits) == Leaf.of([1, 0, 1, 1])
         assert from_bits(bits, SizeBounds(1, 2)) == from_bits([1, 0, 1, 1], SizeBounds(1, 2))
         assert DynamicBitVector(bits, bounds=BOUNDS).to_bits() == [1, 0, 1, 1]
-        t = dinsert(dinsert(Leaf.of([0]), True, 1, BOUNDS), False, 0, BOUNDS)
-        assert t == Leaf.of([0, 0, 1])
+        t = dinsert(dinsert(leaf_of([0]), True, 1, BOUNDS), False, 0, BOUNDS)
+        assert t == leaf_of([0, 0, 1])
         t = from_bits([1, 0, 1, 1] * 3, SizeBounds(1, 2))
         for k in range(10):
             assert dselect(t, True, k) == dselect(t, 1, k)
@@ -1219,7 +1216,7 @@ SENTINEL_CASES = _sentinel_cases()
 
 @pytest.mark.parametrize("bits", SENTINEL_CASES)
 def test_sentinel_leaf_queries_match_oracle(bits):
-    leaf, n = Leaf.of(bits), len(bits)
+    leaf, n = leaf_of(bits), len(bits)
     word = sum(bit << j for j, bit in enumerate(bits))
     assert leaf == Leaf(word | 1 << n) and int(leaf) == word | 1 << n
     assert (leaf.word, leaf.length, dsize(leaf), dflatten(leaf)) == (word, n, n, bits)
@@ -1245,7 +1242,7 @@ def test_sentinel_leaf_updates_match_oracle(bits):
     """Each update at -1, 0, the last offset, the length and one past it,
     on the leaf as a lone root; at the default bounds a leaf of high - 1
     bits splits on insertion."""
-    leaf, n = Leaf.of(bits), len(bits)
+    leaf, n = leaf_of(bits), len(bits)
     bounds = DEFAULT_BOUNDS if n < DEFAULT_BOUNDS.high else SizeBounds(DEFAULT_BOUNDS.low, 2 * n)
     for i in sorted({-1, 0, n - 1, n, n + 1}):
         for got, want in (
@@ -1325,7 +1322,7 @@ def _small_trees(most_leaves, lengths):
             for sizes in product(lengths, repeat=n):
                 flat = [j & 1 for j in range(sum(sizes))]
                 cuts = [sum(sizes[:j]) for j in range(n + 1)]
-                leaves = [Leaf.of(flat[a:z]) for a, z in zip(cuts, cuts[1:])]
+                leaves = [leaf_of(flat[a:z]) for a, z in zip(cuts, cuts[1:])]
                 yield _fill(shape, iter(leaves))[0], flat
 
 

@@ -40,7 +40,7 @@ from succinct.spec import (
     valid_position,
 )
 from succinct import verify
-from succinct.verify import random_path, random_tree
+from succinct.verify import random_tree
 
 
 def _shape_to_tree(shape) -> Tree:
@@ -283,13 +283,16 @@ class TestPositions:
         assert lo_index([TREE10], []) == 0
 
     @settings(max_examples=60)
-    @given(trees, st.integers(0, 2**30))
-    def test_position_is_select_of_index(self, t, seed):
-        rng = random.Random(seed)
-        p = random_path(rng, t)
-        padded = p + [0] * height(t)
-        encoded = louds_lt([t], padded)
-        assert louds_position([t], p) == oracle_select(0, lo_index([t], p), encoded)
+    @given(trees)
+    def test_position_is_select_of_index(self, t):
+        # at every node: a path of height(t) zeros lies past the deepest
+        # level, so louds_lt gives the whole encoding
+        encoded = louds_lt([t], [0] * height(t))
+        paths = [[]]
+        for p in paths:  # the loop walks the paths while they grow
+            paths += [p + [i] for i in range(children(t, p))]
+        for p in paths:
+            assert louds_position([t], p) == oracle_select(0, lo_index([t], p), encoded), p
 
 
 class TestNavigation:

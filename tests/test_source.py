@@ -1,7 +1,8 @@
 """Static checks on the library's source: every name a module imports is
-used in it, every private module-level name is read somewhere in the
-package, and a module's ``__all__`` lists exactly its public names, so an
-import, helper or export left behind by a deletion fails here; no
+used in it, every module-level name is read somewhere in the package
+(public names of ``spec`` and ``oracle`` aside), and a module's
+``__all__`` lists exactly its public names, so an import, helper or
+export left behind by a deletion, or one only the tests call, fails here; no
 dataclass is both frozen and ``slots=True``; and only one decorator
 switches the cyclic collector off and on."""
 
@@ -56,17 +57,23 @@ def defined_names(node: ast.stmt) -> list[str]:
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """The private module-level names (``_name``, not dunder) of the
-    package's modules, keyed by module name, that no module reads outside
-    the statement defining them.  ``from .module import _name`` counts as
-    a read."""
+# modules whose public names are the specifications and references tests read
+READ_BY_TESTS = {"spec", "oracle"}
+
+
+def unread_names(sources: dict[str, str]) -> list[str]:
+    """The module-level names of the package's modules, keyed by module
+    name, that no module reads outside the statement defining them: the
+    private ones (``_name``, not dunder) of every module, and the public
+    ones of every module but those in ``READ_BY_TESTS``.  ``from .module
+    import name`` counts as a read; a listing in ``__all__`` does not."""
     defined, read = {}, set()
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
             own = defined_names(stmt)
             for name in own:
-                if name.startswith("_") and not name.startswith("__"):
+                checked = name.startswith("_") or module not in READ_BY_TESTS
+                if checked and not name.startswith("__"):
                     defined[module, name] = stmt.lineno
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and node.id not in own:
@@ -78,17 +85,21 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
 
 
 def test_every_private_name_is_read():
-    assert unread_private_names({path.stem: path.read_text(encoding="utf-8")
-                                 for path in MODULES}) == []
+    # public names too: a builder only the tests call is dead in the library
+    assert unread_names({path.stem: path.read_text(encoding="utf-8")
+                         for path in MODULES}) == []
 
 
 def test_an_unread_private_name_is_found():
     sources = {
         "a": "def _used(): pass\ndef _own(n): return _own(n)\n_X, _Y = 1, 2\n"
-             "class _Dead: pass\n__version__ = '1'\n",
-        "b": "from .a import _used, _X\n_used()\n",
+             "class _Dead: pass\n__version__ = '1'\n__all__ = ['Used', 'dead']\n"
+             "class Used: pass\ndef dead(): pass\n",
+        "b": "from .a import _used, _X, Used\n_used()\n",
+        "spec": "def reference(): pass\n",
     }
-    assert unread_private_names(sources) == ["a line 2: _own", "a line 3: _Y", "a line 4: _Dead"]
+    assert unread_names(sources) == [
+        "a line 2: _own", "a line 3: _Y", "a line 4: _Dead", "a line 8: dead"]
 
 
 def frozen_slots_dataclasses(source: str) -> list[str]:
